@@ -30,6 +30,11 @@ SCOPES = ("file", "module", "global")
 INGREDIENT_SELECTIONS = ("uniform", "similarity", "name-probability")
 INGREDIENT_TRANSFORMS = ("none", "random-var", "name-probability", "name-similarity")
 FORMULAS = ("ochiai", "tarantula")
+INT_FIELDS = (
+    "max_suspicious", "seed", "max_solutions", "max_iterations", "population",
+    "points_per_iteration", "step_budget", "jobs",
+)
+FLOAT_FIELDS = ("max_seconds", "p_mut", "p_cross")  # ints accepted; max_seconds may be None
 
 
 @dataclass
@@ -77,6 +82,16 @@ class RunConfig:
         for name, value, allowed in optional:
             if value is not None and value not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
+        for name in INT_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in FLOAT_FIELDS:
+            value = getattr(self, name)
+            if type(value) not in (int, float) and not (name == "max_seconds" and value is None):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        if self.operator_weights is not None and not isinstance(self.operator_weights, dict):
+            raise ConfigError(f"operator_weights must be a dict, got {self.operator_weights!r}")
         for name, value in [
             ("max_suspicious", self.max_suspicious),
             ("max_solutions", self.max_solutions),
@@ -101,9 +116,6 @@ class RunConfig:
         for f in fields(self):
             out[f.name] = getattr(self, f.name)
         return out
-
-    def needs_ingredients(self) -> bool:
-        return self.operator_space in ("irr-statements", "r-expression")
 
 
 def _coerce(raw: str):

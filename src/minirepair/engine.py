@@ -48,6 +48,7 @@ from minirepair.lang.types import TypeCheckError, cached_types, check_project, e
 from minirepair.operators import (
     OperatorSpace,
     RepairOperator,
+    apply_edits,
     is_assignment_target_base,
     operator_space,
 )
@@ -76,7 +77,6 @@ class Transformation:
     operator: RepairOperator
     concrete: Optional[Node]  # ingredient subtree ready to splice, or None
     concrete_printed: Optional[str] = None
-    ingredient_printed: Optional[str] = None
 
     def provenance(self) -> dict:
         return {
@@ -424,9 +424,7 @@ class RepairSession:
             self.stats.duplicates += 1
             return None
         cand, printed = chosen
-        return Transformation(
-            point, op, cand, concrete_printed=printed, ingredient_printed=ingredient.printed
-        )
+        return Transformation(point, op, cand, concrete_printed=printed)
 
     def _note_entry_form(self, point, op, ingredient: Ingredient, printed: str) -> None:
         key = (point.node_id, op.name, ingredient.printed)
@@ -457,21 +455,24 @@ class RepairSession:
         return ProgramVariant(self._variant_counter, list(transformations), generation)
 
     def materialize(self, transformations) -> Optional[SourceProject]:
-        """Apply transformations in order on a fresh clone; returns None
-        when the result does not scope/type check."""
-        copy = self.project.clone()
-        for t in transformations:
-            target = copy.nodes.get(t.point.node_id)
-            if target is None or not t.operator.applicable(copy, target):
-                continue
-            ingredient = t.concrete.clone() if t.concrete is not None else None
-            t.operator.mutate(copy, target, ingredient)
-            copy.reindex()
+        """Apply transformations in order on a copy-on-write clone; returns
+        None when the result does not scope/type check.
+
+        The variant deep-copies only the functions that hold the points and
+        shares every other function tree with the session project, which
+        is never modified.  Only the copied functions are type-checked,
+        against the signatures of the whole project: the session project
+        passed the check, and operators never change a signature or move a
+        node into another function, so the verdict equals that of a full
+        check."""
+        variant, edited = apply_edits(
+            self.project, [(t.operator, t.point.node_id, t.concrete) for t in transformations]
+        )
         try:
-            check_project(copy)
+            check_project(variant, edited)
         except TypeCheckError:
             return None
-        return copy
+        return variant
 
     def _validate(self, variant: ProgramVariant, iteration: int) -> Optional[int]:
         """Materialize + validate a variant; returns its fitness, or None
@@ -605,10 +606,7 @@ class RepairSession:
             for cand in candidates:
                 printed = print_tree(cand)
                 if self.cache.check_and_add(point.node_id, op.name, printed):
-                    yield Transformation(
-                        point, op, cand,
-                        concrete_printed=printed, ingredient_printed=entry.printed,
-                    )
+                    yield Transformation(point, op, cand, concrete_printed=printed)
         self._mark_exhausted(point, op)
 
     def _run_exhaustive(self) -> None:

@@ -83,9 +83,6 @@ class SpectrumMatrix:
         ep = self.ep.get(statement_id, 0)
         return ef, ep, self.total_failing - ef, self.total_passing - ep
 
-    def failing_names(self) -> list[str]:
-        return [r.test.name for r in self.results if not r.passed]
-
 
 @dataclass(frozen=True)
 class SuspiciousLocation:

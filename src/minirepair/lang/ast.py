@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import PurePosixPath
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 STATEMENT_KINDS = frozenset(
     {"assign", "if", "while", "return", "expr-stmt", "block", "var-decl"}
@@ -172,7 +172,11 @@ class SourceFile:
 
 
 class SourceProject:
-    """Parsed multi-file program with indexed, stably numbered nodes."""
+    """Parsed multi-file program with indexed, stably numbered nodes.
+
+    A clone may share function trees and `SourceFile`s with the project it
+    was cloned from (see `clone`): mutate only the functions a clone copied,
+    and reindex them after each edit."""
 
     def __init__(self, files: list[SourceFile]):
         self.files = files
@@ -180,6 +184,8 @@ class SourceProject:
         self.parents: dict[int, Optional[int]] = {}
         self.file_of: dict[int, str] = {}
         self.functions: dict[str, tuple[SourceFile, Node]] = {}
+        # ids in each function tree, so a partial reindex can drop removed ones
+        self.function_ids: dict[str, list[int]] = {}
         self.max_id = 0
         self._assign_ids()
         self.reindex()
@@ -193,28 +199,49 @@ class SourceProject:
                     counter += 1
         self.max_id = counter - 1
 
-    def reindex(self) -> None:
+    def reindex(self, functions: Optional[Iterable[str]] = None) -> None:
         """Rebuild node/parent/file indexes; assigns fresh ids to any node
-        with node_id == -1 (subtrees spliced in by repair operators)."""
-        self.nodes.clear()
-        self.parents.clear()
-        self.file_of.clear()
-        self.functions.clear()
+        with node_id == -1 (subtrees spliced in by repair operators).
+
+        `functions` names the function trees to walk (None: all of them).
+        Ids a named function no longer contains are dropped; the entries
+        of every other function are kept as they are.  Fresh ids are given
+        in project order, so when only the named functions hold -1 nodes
+        the numbering equals that of a full reindex."""
+        if functions is None:
+            self.nodes.clear()
+            self.parents.clear()
+            self.file_of.clear()
+            self.functions.clear()
+            self.function_ids.clear()
+        else:
+            functions = set(functions)
+        nodes, parents, file_of = self.nodes, self.parents, self.file_of
         next_id = self.max_id + 1
         for sf in self.files:
+            path = sf.path
             for fn in sf.functions:
+                if functions is not None and fn.name not in functions:
+                    continue
+                ids = []
                 stack: list[tuple[Node, Optional[int]]] = [(fn, None)]
                 while stack:
                     node, parent_id = stack.pop()
                     if node.node_id == -1:
                         node.node_id = next_id
                         next_id += 1
-                    self.nodes[node.node_id] = node
-                    self.parents[node.node_id] = parent_id
-                    self.file_of[node.node_id] = sf.path
+                    nid = node.node_id
+                    ids.append(nid)
+                    nodes[nid] = node
+                    parents[nid] = parent_id
+                    file_of[nid] = path
                     for child in reversed(node.children):
-                        stack.append((child, node.node_id))
+                        stack.append((child, nid))
+                if functions is not None:
+                    for gone in set(self.function_ids[fn.name]).difference(ids):
+                        del nodes[gone], parents[gone], file_of[gone]
                 self.functions[fn.name] = (sf, fn)
+                self.function_ids[fn.name] = ids
         self.max_id = max(next_id - 1, self.max_id)
 
     def node(self, node_id: int) -> Node:
@@ -247,19 +274,37 @@ class SourceProject:
     def statement_ids(self) -> list[int]:
         return sorted(nid for nid, n in self.nodes.items() if n.is_statement())
 
-    def clone(self) -> "SourceProject":
-        files = [
-            SourceFile(sf.path, sf.module, [fn.clone(keep_ids=True) for fn in sf.functions])
-            for sf in self.files
-        ]
+    def clone(self, functions: Optional[Iterable[str]] = None) -> "SourceProject":
+        """Copy-on-write copy of the project.
+
+        The named function trees (None: all of them) are deep-copied with
+        their node ids; every other function tree, and every `SourceFile`
+        that holds none of the named functions, is shared with this
+        project.  The indexes are copied as dicts and then pointed at the
+        copied nodes, so nothing is renumbered."""
+        if functions is not None:
+            functions = set(functions)
         dup = SourceProject.__new__(SourceProject)
-        dup.files = files
-        dup.nodes = {}
-        dup.parents = {}
-        dup.file_of = {}
-        dup.functions = {}
+        dup.nodes = dict(self.nodes)
+        dup.parents = dict(self.parents)
+        dup.file_of = dict(self.file_of)
+        dup.functions = dict(self.functions)
+        dup.function_ids = dict(self.function_ids)
         dup.max_id = self.max_id
-        dup.reindex()
+        dup.files = []
+        for sf in self.files:
+            if functions is not None and functions.isdisjoint(fn.name for fn in sf.functions):
+                dup.files.append(sf)
+                continue
+            own = SourceFile(sf.path, sf.module, [])
+            for fn in sf.functions:
+                if functions is None or fn.name in functions:
+                    fn = fn.clone(keep_ids=True)
+                    for node in pre_order(fn):
+                        dup.nodes[node.node_id] = node
+                own.functions.append(fn)
+                dup.functions[fn.name] = (own, fn)
+            dup.files.append(own)
         return dup
 
 

@@ -88,6 +88,15 @@ def _trunc_div(a: int, b: int) -> int:
     return q if (a < 0) == (b < 0) else -q
 
 
+def _copy_value(value):
+    """Arrays are mutable reference values: each execution gets its own
+    copy of every array argument, so a program that writes into one never
+    changes the caller's (or a shared test case's) input."""
+    if isinstance(value, list):
+        return [_copy_value(v) for v in value]
+    return value
+
+
 def _runtime_matches(value, ty: Type) -> bool:
     if ty.base == "int":
         return isinstance(value, int) and not isinstance(value, bool)
@@ -355,8 +364,9 @@ def execute(
     """Run `entry(args)` under the step budget, tracing statement coverage.
 
     The covered set contains exactly the statements whose evaluation began.
-    All failures (including a missing or mis-typed entry point) are encoded
-    in the outcome; this function does not raise.
+    Array arguments are copied, so `args` is never modified.  All failures
+    (including a missing or mis-typed entry point) are encoded in the
+    outcome; this function does not raise.
     """
     if step_budget <= 0:
         raise ValueError("step budget must be positive")
@@ -377,7 +387,7 @@ def execute(
             return finish(Outcome("error", error_kind="type-error", error_line=fn.line))
 
     try:
-        value = run.call_function(fn, list(args), fn)
+        value = run.call_function(fn, [_copy_value(a) for a in args], fn)
     except _Timeout:
         return finish(Outcome("timeout"))
     except _RuntimeFault as fault:

@@ -16,6 +16,7 @@ literal `[]` matches any array type.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from minirepair.lang.ast import (
     BOOL,
@@ -83,7 +84,7 @@ class _Checker:
     def fail(self, node: Node, message: str):
         raise TypeCheckError(self.path, node.line, message)
 
-    def run(self) -> ProjectTypes:
+    def run(self, functions: frozenset[str] | None) -> ProjectTypes:
         for sf in self.project.files:
             for fn in sf.functions:
                 if fn.name in BUILTINS:
@@ -96,7 +97,8 @@ class _Checker:
         for sf in self.project.files:
             self.path = sf.path
             for fn in sf.functions:
-                self.check_function(fn)
+                if functions is None or fn.name in functions:
+                    self.check_function(fn)
         return self.types
 
     def check_function(self, fn: Node) -> None:
@@ -309,9 +311,18 @@ class _Checker:
         return ret if ret is not None else VOID
 
 
-def check_project(project: SourceProject) -> ProjectTypes:
-    """Type- and scope-check the whole project; raises TypeCheckError."""
-    return _Checker(project).run()
+def check_project(
+    project: SourceProject, functions: Iterable[str] | None = None
+) -> ProjectTypes:
+    """Type- and scope-check the project; raises TypeCheckError.
+
+    `functions` limits the body checks to the named functions (None: all
+    of them), each against the signatures of the whole project; node types
+    are recorded for those bodies only.  A repair variant passes exactly
+    when its edited functions pass, because operators never change a
+    signature or move a node into another function and the unedited
+    functions are those of a checked project."""
+    return _Checker(project).run(None if functions is None else frozenset(functions))
 
 
 def env_at(project: SourceProject, node_id: int) -> dict[str, Type]:

@@ -12,15 +12,22 @@ Four spaces are provided:
   r-expression        replace any expression (except an assignment's
                       target) with an ingredient expression
 
-Operators never mutate the project they are asked about: `apply_operator`
-works on a clone, and the engine applies `mutate` only to throwaway copies.
-An operator's `applicable` covers its structural preconditions; whole-
-variant scope/type checking happens separately at generation time.
+Operators never mutate the project they are asked about.  `apply_edits`
+is the one way to apply them: it builds a copy-on-write clone that owns
+only the functions holding the edited nodes, mutates those, and reindexes
+the edited function after each edit.  `apply_operator` (one edit) and the
+engine's `materialize` (a variant's transformation list) both go through
+it.  An operator's `mutate` only rewires nodes inside the function that
+holds its target and never touches a signature; the partial reindex and
+the partial type check of a variant rely on that.  An operator's
+`applicable` covers its structural preconditions; whole-variant scope/type
+checking happens separately at generation time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from minirepair.lang.ast import (
     LOGICAL_OPS,
@@ -299,10 +306,38 @@ def operator_space(name: str) -> OperatorSpace:
         raise ValueError(f"unknown operator space {name!r}") from None
 
 
+def apply_edits(
+    project: SourceProject, edits: Iterable[tuple[RepairOperator, int, Node | None]]
+) -> tuple[SourceProject, frozenset[str]]:
+    """Apply (operator, node id, ingredient) edits in order to a clone.
+
+    The clone deep-copies only the functions that hold the edited nodes and
+    shares everything else with `project`, which is never modified.  An
+    edit whose node an earlier edit removed, or whose operator no longer
+    applies there, is skipped.  Each ingredient is cloned before it is
+    spliced in.  Returns the clone and the names of its copied functions.
+    """
+    edits = list(edits)
+    owned = frozenset(
+        project.enclosing_function(node_id).name
+        for _, node_id, _ in edits
+        if node_id in project.nodes
+    )
+    variant = project.clone(owned)
+    for op, node_id, ingredient in edits:
+        target = variant.nodes.get(node_id)
+        if target is None or not op.applicable(variant, target):
+            continue
+        function = variant.enclosing_function(node_id).name
+        op.mutate(variant, target, ingredient.clone() if ingredient is not None else None)
+        variant.reindex([function])
+    return variant, owned
+
+
 def apply_operator(
     project: SourceProject, op: RepairOperator, node_id: int, ingredient: Node | None = None
 ) -> SourceProject | None:
-    """Apply one operator on a clone of the project.
+    """Apply one operator with `apply_edits`.
 
     Returns the transformed project, or None when the operator is not
     applicable at the node.  The input project is never modified.
@@ -312,8 +347,4 @@ def apply_operator(
         return None
     if op.needs_ingredient and ingredient is None:
         raise ValueError(f"operator {op.name} needs an ingredient")
-    copy = project.clone()
-    target = copy.nodes[node_id]
-    op.mutate(copy, target, ingredient.clone() if ingredient is not None else None)
-    copy.reindex()
-    return copy
+    return apply_edits(project, [(op, node_id, ingredient)])[0]

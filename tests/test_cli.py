@@ -2,8 +2,10 @@
 
 import json
 
+import pytest
+
 from minirepair.cli import BENCH_FIELDS, bench_run, main, rows_to_csv, summary_csv
-from minirepair.config import RunConfig, apply_overrides, parse_config_file
+from minirepair.config import ConfigError, RunConfig, apply_overrides, parse_config_file
 
 from conftest import CORPUS
 
@@ -154,3 +156,34 @@ def test_bug_step_budget_applies(tmp_path):
                    "--out", str(out)) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["step_budget"] == 4000
+
+
+def test_config_value_of_wrong_type_exits_one_without_traceback(tmp_path, capsys):
+    config_file = tmp_path / "run.conf"
+    config_file.write_text("jobs = abc\n")
+    code = run_cli("repair", str(CORPUS / "abs-sign"), "--mode", "jmutrepair",
+                   "--config", str(config_file), "--out", str(tmp_path / "out"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "jobs must be an integer" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("jobs", "abc"), ("max_iterations", True), ("step_budget", 2.5),
+     ("seed", None), ("p_mut", "high"), ("p_cross", False), ("max_seconds", "soon"),
+     ("operator_weights", "abc")],
+)
+def test_config_field_types_are_checked(field, value):
+    config = RunConfig()
+    setattr(config, field, value)
+    with pytest.raises(ConfigError, match=field):
+        config.validate()
+
+
+def test_config_numbers_accepted():
+    config = apply_overrides(RunConfig(), {"p_mut": 1, "p_cross": 0.5, "max_seconds": 3})
+    config.validate()
+    RunConfig(max_seconds=None).validate()

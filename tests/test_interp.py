@@ -308,3 +308,25 @@ def test_coverage_matches_counting_oracle(corpus_names):
                 continue  # the two walkers spend fuel differently
             hits = count_statement_hits(project, test.entry, test.args, 10 * meta["step_budget"])
             assert trace.covered == set(hits), (name, test.name)
+
+
+def test_array_arguments_are_copied_per_execution():
+    """A variant that writes into an array parameter must not change the
+    test case it runs: the same test gives the same verdict every time."""
+    from minirepair.faultloc import TestCase, run_test
+
+    project = parse_project(
+        [("main.mini", "fn f(a: [int]) -> int { a[0] = a[0] + 1; return a[0]; }")]
+    )
+    test = TestCase("bump", "f", ([1],), expect=2)
+    assert [run_test(project, test, 1000).passed for _ in range(3)] == [True] * 3
+    assert test.args == ([1],)
+
+
+def test_nested_array_arguments_are_copied():
+    source = "fn g(a: [[int]]) -> int { a[0][0] = a[0][0] + 1; return a[0][0]; }"
+    args = [[[1], [2]]]
+    for _ in range(2):
+        trace = run(source, "g", args)
+        assert trace.outcome.is_normal and trace.outcome.value == 2
+    assert args == [[[1], [2]]]
