@@ -26,7 +26,16 @@ import os
 import sys
 from pathlib import Path
 
-from minirepair.config import ConfigError, RunConfig, apply_overrides, parse_config_file
+from minirepair.config import (
+    FORMULAS,
+    GRANULARITIES,
+    NAVIGATIONS,
+    SCOPES,
+    ConfigError,
+    RunConfig,
+    apply_overrides,
+    parse_config_file,
+)
 from minirepair.engine import RepairOutcome, navigate
 from minirepair.faultloc import NoFailingTests, SuiteError, TestCase, load_suite
 from minirepair.lang.ast import ProjectError, SourceProject, parse_project
@@ -54,7 +63,9 @@ class ProjectLoadError(Exception):
 
 def load_project_dir(project_dir: str | Path) -> tuple[SourceProject, list[TestCase], dict]:
     """Parse <dir>/src/**/*.mini and <dir>/tests.json (paths are stored
-    relative to src/, so module names follow the directory layout)."""
+    relative to src/, so module names follow the directory layout), and
+    read the optional <dir>/bug.json: a JSON object whose step_budget, if
+    present, is a positive integer."""
     root = Path(project_dir)
     src_root = root / "src"
     if not src_root.is_dir():
@@ -77,6 +88,13 @@ def load_project_dir(project_dir: str | Path) -> tuple[SourceProject, list[TestC
     meta_path = root / "bug.json"
     if meta_path.is_file():
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        if not isinstance(meta, dict):
+            raise ProjectLoadError(f"{meta_path}: expected a JSON object")
+        budget = meta.get("step_budget")
+        if "step_budget" in meta and (type(budget) is not int or budget < 1):
+            raise ProjectLoadError(
+                f"{meta_path}: step_budget must be a positive integer, got {budget!r}"
+            )
     return project, suite, meta
 
 
@@ -100,7 +118,7 @@ def build_config(args, meta: dict | None = None) -> RunConfig:
         "formula": args.formula,
     }
     if meta and args.step_budget is None and "step_budget" in meta:
-        flag_overrides["step_budget"] = int(meta["step_budget"])
+        flag_overrides["step_budget"] = meta["step_budget"]
     apply_overrides(config, flag_overrides)
     config.mode = args.mode
     config.validate()
@@ -158,7 +176,7 @@ def bench_run(
         for seed in seeds:
             config = config_from_preset(mode, seed=seed)
             if "step_budget" in meta:
-                config.step_budget = int(meta["step_budget"])
+                config.step_budget = meta["step_budget"]
             if overrides:
                 apply_overrides(config, overrides)
             config.validate()
@@ -223,7 +241,12 @@ def cmd_bench(args) -> int:
         return 1
     bugs = args.bugs.split(",") if args.bugs else discover_bugs(corpus)
     modes = args.modes.split(",")
-    seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        print(f"error: --seeds must be comma-separated integers, got {args.seeds!r}",
+              file=sys.stderr)
+        return 1
     overrides = {}
     if args.navigation:
         overrides["navigation"] = args.navigation
@@ -258,14 +281,12 @@ def make_parser() -> argparse.ArgumentParser:
     repair.add_argument("--max-solutions", type=int, default=None)
     repair.add_argument("--max-iterations", type=int, default=None)
     repair.add_argument("--max-seconds", type=float, default=None)
-    repair.add_argument("--navigation", default=None,
-                        choices=("exhaustive", "selective", "evolutionary"))
-    repair.add_argument("--scope", default=None, choices=("file", "module", "global"))
-    repair.add_argument("--granularity", default=None,
-                        choices=("statement", "expression", "logical-relational"))
+    repair.add_argument("--navigation", default=None, choices=NAVIGATIONS)
+    repair.add_argument("--scope", default=None, choices=SCOPES)
+    repair.add_argument("--granularity", default=None, choices=GRANULARITIES)
     repair.add_argument("--jobs", type=int, default=None)
     repair.add_argument("--step-budget", type=int, default=None)
-    repair.add_argument("--formula", default=None, choices=("ochiai", "tarantula"))
+    repair.add_argument("--formula", default=None, choices=FORMULAS)
     repair.add_argument("--config", default=None, help="flat key=value config file")
     repair.add_argument("--out", default="repair-out")
     repair.set_defaults(func=cmd_repair)
@@ -275,9 +296,8 @@ def make_parser() -> argparse.ArgumentParser:
     bench.add_argument("--modes", required=True, help="comma-separated preset names")
     bench.add_argument("--seeds", default="1,2,3")
     bench.add_argument("--bugs", default=None, help="comma-separated bug names (default: all)")
-    bench.add_argument("--navigation", default=None,
-                       choices=("exhaustive", "selective", "evolutionary"))
-    bench.add_argument("--scope", default=None, choices=("file", "module", "global"))
+    bench.add_argument("--navigation", default=None, choices=NAVIGATIONS)
+    bench.add_argument("--scope", default=None, choices=SCOPES)
     bench.add_argument("--max-iterations", type=int, default=None)
     bench.add_argument("--out", default="bench-out")
     bench.set_defaults(func=cmd_bench)

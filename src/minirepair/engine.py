@@ -31,6 +31,7 @@ from minirepair.faultloc import (
 )
 from minirepair.ingredients import (
     COMPOSITE_EXPRESSION_KINDS,
+    RANKED_TRANSFORMS,
     AttemptCache,
     FunctionSimilarity,
     Ingredient,
@@ -38,7 +39,10 @@ from minirepair.ingredients import (
     build_name_model,
     build_pool,
     mine_templates,
+    out_of_scope_vars,
+    ranked_substitutions,
     select_ingredient,
+    substitute_variables,
     substitution_space_size,
     transform_ingredient,
 )
@@ -85,6 +89,16 @@ class Transformation:
             "operator": self.operator.name,
             "ingredient": self.concrete_printed,
         }
+
+
+@dataclass(slots=True)
+class SubstitutionPlan:
+    """The ranked substitutions of one ingredient entry at one (point,
+    operator), and the cursor past the last one tried there."""
+
+    names: tuple[str, ...]  # the entry's out-of-scope variables
+    ranked: list[tuple[str, ...]]  # replacement names, best first
+    cursor: int = 0
 
 
 @dataclass
@@ -311,6 +325,7 @@ class RepairSession:
         self._exhausted_pairs: set[tuple[int, str]] = set()
         self._validated_signatures: dict[tuple, Optional[int]] = {}
         self._entry_forms: dict[tuple[int, str, str], set[str]] = {}
+        self._plans: dict[tuple[int, str, str], SubstitutionPlan] = {}
         self._pool: Optional[IngredientPool] = None
         self._similarity: Optional[FunctionSimilarity] = None
         self._name_model = None
@@ -367,6 +382,18 @@ class RepairSession:
     def create_transformation(
         self, point: ModificationPoint, op: RepairOperator
     ) -> Optional[Transformation]:
+        """The next untried transformation for (point, operator), or None
+        (counted as not applicable, exhausted or duplicate).
+
+        An operator that needs an ingredient takes an entry from the pool
+        and adapts it to the point.  The ranked strategies (name-probability,
+        name-similarity) rank an entry's substitutions once per (point,
+        operator) and keep a cursor: each pick builds candidates from the
+        cursor on until one is new to the attempt cache.  That equals
+        rebuilding the ranked list and scanning it from the top, because
+        the ranking depends only on the entry, the point's scope and the
+        session's name model, every candidate before the cursor is in the
+        cache, and the cache only grows."""
         node = self.project.node(point.node_id)
         if not op.applicable(self.project, node):
             self._mark_exhausted(point, op)
@@ -394,14 +421,10 @@ class RepairSession:
             self._mark_exhausted(point, op)
             self.stats.exhausted_selections += 1
             return None
+        if self._ingredient_transform in RANKED_TRANSFORMS:
+            return self._next_ranked_candidate(point, op, ingredient)
         candidates = transform_ingredient(
-            ingredient,
-            point.env,
-            self._ingredient_transform,
-            rng=self.rng.transform,
-            name_model=self.name_model()
-            if self._ingredient_transform in ("name-probability",)
-            else None,
+            ingredient, point.env, self._ingredient_transform, rng=self.rng.transform
         )
         if not candidates:
             # untransformable here (or vanilla strategy with out-of-scope
@@ -411,28 +434,64 @@ class RepairSession:
             return None
 
         chosen = None
+        random_var = self._ingredient_transform == "random-var"
         for cand in candidates:
             printed = print_tree(cand)
-            self._note_entry_form(point, op, ingredient, printed)
+            if random_var:
+                self._note_entry_form(point, op, ingredient, printed)
             if self.cache.check_and_add(point.node_id, op.name, printed):
                 chosen = (cand, printed)
                 break
-        self._maybe_seal_entry(point, op, ingredient)
+        if random_var:
+            self._maybe_seal_entry(point, op, ingredient)
         if chosen is None:
-            if self._ingredient_transform != "random-var":
+            if not random_var:
                 self.cache.check_and_add(point.node_id, op.name, ingredient.printed)
             self.stats.duplicates += 1
             return None
         cand, printed = chosen
         return Transformation(point, op, cand, concrete_printed=printed)
 
+    def _next_ranked_candidate(
+        self, point: ModificationPoint, op: RepairOperator, ingredient: Ingredient
+    ) -> Optional[Transformation]:
+        key = (point.node_id, op.name, ingredient.printed)
+        plan = self._plans.get(key)
+        if plan is None:
+            out_vars = out_of_scope_vars(ingredient, point.env)
+            model = self.name_model() if self._ingredient_transform == "name-probability" else None
+            plan = SubstitutionPlan(
+                tuple(name for name, _ in out_vars),
+                ranked_substitutions(out_vars, point.env, self._ingredient_transform, model),
+            )
+            if not plan.ranked:
+                # some variable has no same-typed name in scope
+                self.cache.check_and_add(*key)
+                self.stats.not_applicable += 1
+                return None
+            self._plans[key] = plan
+        for index in range(plan.cursor, len(plan.ranked)):
+            cand = substitute_variables(
+                ingredient.subtree, dict(zip(plan.names, plan.ranked[index]))
+            )
+            printed = print_tree(cand)
+            if self.cache.check_and_add(point.node_id, op.name, printed):
+                plan.cursor = index + 1
+                if self.cache.contains(*key):
+                    del self._plans[key]  # sealed: never picked at this point/op again
+                return Transformation(point, op, cand, concrete_printed=printed)
+        del self._plans[key]
+        self.cache.check_and_add(*key)
+        self.stats.duplicates += 1
+        return None
+
     def _note_entry_form(self, point, op, ingredient: Ingredient, printed: str) -> None:
         key = (point.node_id, op.name, ingredient.printed)
         self._entry_forms.setdefault(key, set()).add(printed)
 
     def _maybe_seal_entry(self, point, op, ingredient: Ingredient) -> None:
-        if self._ingredient_transform != "random-var":
-            return
+        """random-var draws a fresh substitution on every pick, so an entry
+        is used up once every distinct form has been drawn."""
         key = (point.node_id, op.name, ingredient.printed)
         space = substitution_space_size(ingredient, point.env)
         if space and len(self._entry_forms.get(key, ())) >= space:

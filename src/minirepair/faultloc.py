@@ -17,10 +17,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from minirepair.config import FORMULAS
 from minirepair.lang.ast import SourceProject
 from minirepair.lang.interp import DEFAULT_STEP_BUDGET, UNIT, ExecutionTrace, Unit, execute
-
-FORMULAS = ("ochiai", "tarantula")
 
 RUNTIME_ERROR_KINDS = frozenset(
     {"div-by-zero", "index-out-of-bounds", "undefined-variable", "type-error",

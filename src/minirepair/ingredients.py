@@ -19,19 +19,18 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from collections import Counter
 from dataclasses import dataclass, field
 
+from minirepair.config import SCOPES
 from minirepair.lang.ast import EXPRESSION_KINDS, Node, SourceProject, Type, pre_order
 from minirepair.lang.lexer import tokenize
 from minirepair.lang.printer import print_tree
 from minirepair.lang.types import ProjectTypes, free_variables
 from minirepair.rng import SplitMix64
 
-SCOPES = ("file", "module", "global")
-SELECTION_STRATEGIES = ("uniform", "similarity", "name-probability")
-TRANSFORM_STRATEGIES = ("none", "random-var", "name-probability", "name-similarity")
+# transformation strategies that enumerate substitutions in a fixed rank order
+RANKED_TRANSFORMS = ("name-probability", "name-similarity")
 
 # non-atomic expression kinds: the ones worth mining templates from and
 # targeting as expression-granularity modification points
@@ -271,11 +270,10 @@ class FunctionSimilarity:
 
 class AttemptCache:
     """Set of (point, operator, printed form) triples already attempted.
-    check_and_add is atomic so validation workers can share it."""
+    Only the search loop reads and writes it."""
 
     def __init__(self):
         self._seen: set[tuple[int, str, str]] = set()
-        self._lock = threading.Lock()
 
     def contains(self, point_id: int, op_name: str, printed: str) -> bool:
         return (point_id, op_name, printed) in self._seen
@@ -283,11 +281,10 @@ class AttemptCache:
     def check_and_add(self, point_id: int, op_name: str, printed: str) -> bool:
         """Record the triple; returns False when it was already present."""
         key = (point_id, op_name, printed)
-        with self._lock:
-            if key in self._seen:
-                return False
-            self._seen.add(key)
-            return True
+        if key in self._seen:
+            return False
+        self._seen.add(key)
+        return True
 
     def __len__(self) -> int:
         return len(self._seen)
@@ -395,21 +392,32 @@ def substitution_space_size(ingredient: Ingredient, env: dict[str, Type]) -> int
     return size
 
 
-def _ranked_assignments(
+def ranked_substitutions(
     out_vars: list[tuple[str, Type]],
     env: dict[str, Type],
-    score_fn,
-) -> list[dict[str, str]]:
+    strategy: str,
+    name_model: NameFrequencyModel | None = None,
+) -> list[tuple[str, ...]]:
+    """Replacement names for `out_vars` (as from out_of_scope_vars), one
+    tuple per substitution: at most MAX_INSTANTIATIONS of them, ranked by
+    descending name-frequency product (name-probability) or name-LCS
+    score (name-similarity), ties broken by the tuple itself.  With no
+    out-of-scope variables the one substitution is the empty tuple; when
+    some variable's type has no in-scope name there are none."""
+    if strategy == "name-probability":
+        if name_model is None:
+            raise ValueError("name-probability transformation needs a NameFrequencyModel")
+        score = name_model.score
+    elif strategy == "name-similarity":
+        score = lambda names: math.prod(
+            lcs_length(orig, new) + 1 for (orig, _), new in zip(out_vars, names)
+        )
+    else:
+        raise ValueError(f"unknown ingredient transformation strategy {strategy!r}")
     pools = [_candidate_names(env, ty) for _, ty in out_vars]
-    if any(not p for p in pools):
-        return []
-    combos = []
-    for combo in itertools.product(*pools):
-        combos.append(combo)
-        if len(combos) >= MAX_INSTANTIATIONS:
-            break
-    combos.sort(key=lambda names: (-score_fn(out_vars, names), names))
-    return [dict(zip((name for name, _ in out_vars), combo)) for combo in combos]
+    combos = list(itertools.islice(itertools.product(*pools), MAX_INSTANTIATIONS))
+    combos.sort(key=lambda names: (-score(names), names))
+    return combos
 
 
 def transform_ingredient(
@@ -426,9 +434,10 @@ def transform_ingredient(
     random-var    : one clone with every out-of-scope variable replaced by
                     a uniformly drawn same-typed in-scope variable
     name-probability / name-similarity
-                  : all substitutions (bounded), ranked by descending
-                    name-frequency product / name-LCS score, ties broken
-                    by the substituted name tuple
+                  : one clone per substitution of ranked_substitutions, in
+                    its order.  The search does not call this for these two
+                    strategies: it keeps each entry's ranking and builds
+                    one clone at a time (RepairSession.create_transformation)
     """
     out_vars = out_of_scope_vars(ingredient, env)
     if strategy == "none":
@@ -447,19 +456,11 @@ def transform_ingredient(
             mapping[name] = rng.choice(candidates)
         return [substitute_variables(ingredient.subtree, mapping)]
 
-    if strategy == "name-probability":
-        if name_model is None:
-            raise ValueError("name-probability transformation needs a NameFrequencyModel")
-        score = lambda out, names: name_model.score(names)
-    elif strategy == "name-similarity":
-        score = lambda out, names: math.prod(
-            lcs_length(orig, new) + 1 for (orig, _), new in zip(out, names)
-        )
-    else:
-        raise ValueError(f"unknown ingredient transformation strategy {strategy!r}")
-
-    assignments = _ranked_assignments(out_vars, env, score)
-    return [substitute_variables(ingredient.subtree, m) for m in assignments]
+    names = [name for name, _ in out_vars]
+    return [
+        substitute_variables(ingredient.subtree, dict(zip(names, combo)))
+        for combo in ranked_substitutions(out_vars, env, strategy, name_model)
+    ]
 
 
 def instantiate_template(

@@ -38,8 +38,6 @@ from minirepair.lang.ast import (
     pre_order,
 )
 
-GRANULARITIES = ("statement", "expression", "logical-relational")
-
 
 class RepairOperator:
     name: str = ""

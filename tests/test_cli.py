@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, artifacts, bench CSV."""
 
 import json
+import shutil
 
 import pytest
 
@@ -187,3 +188,48 @@ def test_config_numbers_accepted():
     config = apply_overrides(RunConfig(), {"p_mut": 1, "p_cross": 0.5, "max_seconds": 3})
     config.validate()
     RunConfig(max_seconds=None).validate()
+
+
+def _bug_copy(tmp_path, bug_json: str):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS / "abs-sign", corpus / "abs-sign")
+    (corpus / "abs-sign" / "bug.json").write_text(bug_json)
+    return corpus
+
+
+@pytest.mark.parametrize(
+    "bug_json,message",
+    [('{"step_budget": null}', "step_budget must be a positive integer"),
+     ('{"step_budget": "2000"}', "step_budget must be a positive integer"),
+     ('{"step_budget": true}', "step_budget must be a positive integer"),
+     ('{"step_budget": 0}', "step_budget must be a positive integer"),
+     ("[1, 2]", "expected a JSON object")],
+)
+def test_bad_bug_json_exits_one_without_traceback(tmp_path, capsys, bug_json, message):
+    corpus = _bug_copy(tmp_path, bug_json)
+    code = run_cli("repair", str(corpus / "abs-sign"), "--mode", "jmutrepair",
+                   "--out", str(tmp_path / "out"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bench_with_bad_bug_json_exits_one(tmp_path, capsys):
+    corpus = _bug_copy(tmp_path, '{"step_budget": null}')
+    code = run_cli("bench", str(corpus), "--modes", "jmutrepair", "--seeds", "1",
+                   "--out", str(tmp_path / "bench"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "step_budget must be a positive integer" in err
+    assert not (tmp_path / "bench").exists()
+
+
+def test_bench_non_integer_seed_exits_one(tmp_path, capsys):
+    code = run_cli("bench", str(CORPUS), "--bugs", "abs-sign", "--modes", "jmutrepair",
+                   "--seeds", "1,x", "--out", str(tmp_path / "bench"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--seeds" in err and "'1,x'" in err
+    assert not (tmp_path / "bench").exists()

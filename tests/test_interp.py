@@ -133,6 +133,36 @@ def test_recursion_depth_capped():
     assert MAX_CALL_DEPTH == 200
 
 
+DEPTH_SRC = """
+fn depth(n: int) -> int {
+    if (n <= 1) {
+        return 1;
+    }
+    return depth(n - 1) + 1;
+}
+"""
+
+
+def _nested(frames: int, fn):
+    return fn() if frames == 0 else _nested(frames - 1, fn)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="Python's RecursionError ends deep MiniLang recursion before the "
+    "documented 200-frame cap, at a depth that depends on the caller's stack",
+)
+@pytest.mark.parametrize("extra_frames", [0, 600])
+def test_call_depth_cap_is_exact_at_any_caller_depth(extra_frames):
+    def outcomes():
+        return [run(DEPTH_SRC, "depth", [n], budget=10_000_000).outcome for n in (199, 201)]
+
+    below, beyond = _nested(extra_frames, outcomes)
+    assert below.is_normal and below.value == 199
+    assert beyond.error_kind == "stack-overflow"
+
+
 def test_bad_entry_and_arguments():
     assert run("fn f() -> int { return 1; }", "nope", []).outcome.error_kind == "undefined-function"
     assert run("fn f(x: int) -> int { return x; }", "f", []).outcome.error_kind == "bad-arity"

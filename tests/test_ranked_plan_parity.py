@@ -1,0 +1,198 @@
+"""Ranked ingredient transformation: one plan per entry versus a rebuild
+on every pick.
+
+For name-probability (cardumen) and name-similarity (deeprepair-lite) the
+session ranks an entry's substitutions once per (point, operator) and
+keeps a cursor.  `rebuild_every_pick` below is the algorithm that replaced:
+on every pick it rebuilds the entry's whole ranked candidate list with
+`transform_ingredient` and scans it from the top for a form the attempt
+cache has not seen.  Both must give the same search, byte for byte.
+"""
+
+import dataclasses
+
+import pytest
+
+from minirepair import engine
+from minirepair.engine import RepairSession, Transformation, navigate
+from minirepair.ingredients import RANKED_TRANSFORMS, transform_ingredient
+from minirepair.lang.printer import print_tree
+from minirepair.presets import config_from_preset
+
+from conftest import corpus_bug_names, load_bug
+
+PRESETS = ("cardumen", "deeprepair-lite")
+SEEDS = (1, 2, 3)
+
+
+def rebuild_every_pick(self, point, op):
+    """RepairSession.create_transformation before plans, for the ranked
+    strategies."""
+    assert self._ingredient_transform in RANKED_TRANSFORMS
+    node = self.project.node(point.node_id)
+    if not op.applicable(self.project, node):
+        self._mark_exhausted(point, op)
+        self.stats.not_applicable += 1
+        return None
+    if not op.needs_ingredient:
+        if not self.cache.check_and_add(point.node_id, op.name, ""):
+            self.stats.duplicates += 1
+            self._mark_exhausted(point, op)
+            return None
+        return Transformation(point, op, None)
+    ingredient = engine.select_ingredient(
+        self.ingredient_pool(),
+        point,
+        op.name,
+        self._ingredient_selection,
+        self.rng.ingredients,
+        self.cache,
+        similarity=self._similarity_if_needed(),
+        name_model=self._name_model_if_needed(),
+    )
+    if ingredient is None:
+        self._mark_exhausted(point, op)
+        self.stats.exhausted_selections += 1
+        return None
+    candidates = transform_ingredient(
+        ingredient,
+        point.env,
+        self._ingredient_transform,
+        name_model=self.name_model()
+        if self._ingredient_transform == "name-probability"
+        else None,
+    )
+    if not candidates:
+        self.cache.check_and_add(point.node_id, op.name, ingredient.printed)
+        self.stats.not_applicable += 1
+        return None
+    for cand in candidates:
+        printed = print_tree(cand)
+        if self.cache.check_and_add(point.node_id, op.name, printed):
+            return Transformation(point, op, cand, concrete_printed=printed)
+    self.cache.check_and_add(point.node_id, op.name, ingredient.printed)
+    self.stats.duplicates += 1
+    return None
+
+
+def run_with(create, project, suite, config):
+    """navigate with `create` as the session's create_transformation; both
+    algorithms run from the same Python stack depth (the interpreter's
+    stack-overflow verdicts depend on it)."""
+    saved = RepairSession.create_transformation
+    RepairSession.create_transformation = create
+    try:
+        return navigate(project, suite, config)
+    finally:
+        RepairSession.create_transformation = saved
+
+
+def observed(outcome):
+    return (
+        outcome.report_dict(),
+        [p.diff_text.encode() for p in outcome.patches],
+        dataclasses.asdict(outcome.stats),
+        outcome.session.cache._seen,
+    )
+
+
+@pytest.mark.parametrize("bug", corpus_bug_names())
+def test_plans_match_rebuilding_on_every_pick(bug):
+    project, suite, meta = load_bug(bug)
+    for mode in PRESETS:
+        for seed in SEEDS:
+            config = config_from_preset(mode, seed=seed)
+            config.step_budget = meta["step_budget"]
+            new = run_with(RepairSession.create_transformation, project, suite, config)
+            old = run_with(rebuild_every_pick, project, suite, config)
+            assert observed(new) == observed(old), (bug, mode, seed)
+
+
+# -- one entry, picked until it is used up ---------------------------------------
+
+
+def _entry_with_forms(session, count):
+    """The first (point, operator, entry) with at least `count` distinct
+    candidate forms, and those forms in rank order."""
+    pool = session.ingredient_pool()
+    model = session.name_model()
+    for point in session.points:
+        for op in session.space.operators:
+            if not op.needs_ingredient:
+                continue
+            if not op.applicable(session.project, session.project.node(point.node_id)):
+                continue
+            for entry in pool.entries(point.file, point.module):
+                forms = [
+                    print_tree(t)
+                    for t in transform_ingredient(
+                        entry, point.env, session._ingredient_transform, name_model=model
+                    )
+                ]
+                if len(forms) >= count and len(set(forms)) == len(forms):
+                    return point, op, entry, forms
+    raise AssertionError("no entry with enough forms")
+
+
+def _pick_until_used_up(monkeypatch, mode, create, claim_after_first=()):
+    """Pick one fixed entry at one (point, operator) until the session
+    reports it used up.  After the first pick, the ranks in
+    `claim_after_first` are put in the cache, as another entry producing
+    the same form would.  Returns the forms picked, the number of trees
+    printed, the session and the entry."""
+    project, suite, meta = load_bug("mid-formula")
+    session = RepairSession(project, suite, config_from_preset(mode, seed=1))
+    point, op, entry, forms = _entry_with_forms(session, 4)
+
+    def select_fixed(pool, pt, op_name, *args, **kwargs):
+        cache = args[2]
+        return None if cache.contains(pt.node_id, op_name, entry.printed) else entry
+
+    printed_trees = []
+
+    def counting_print(node):
+        printed_trees.append(node)
+        return print_tree(node)
+
+    monkeypatch.setattr(engine, "select_ingredient", select_fixed)
+    monkeypatch.setattr(engine, "print_tree", counting_print)
+    picked = []
+    for _ in range(len(forms) + 2):
+        t = create(session, point, op)
+        picked.append(None if t is None else t.concrete_printed)
+        if len(picked) == 1:
+            for rank in claim_after_first:
+                assert session.cache.check_and_add(point.node_id, op.name, forms[rank])
+    return picked, len(printed_trees), session, point, op, entry, forms
+
+
+@pytest.mark.parametrize("mode", PRESETS)
+def test_form_claimed_past_the_cursor_is_skipped(monkeypatch, mode):
+    claims = (1, 3)
+    picked, built, session, point, op, entry, forms = _pick_until_used_up(
+        monkeypatch, mode, RepairSession.create_transformation, claims
+    )
+    unclaimed = [f for rank, f in enumerate(forms) if rank not in claims]
+    assert picked[: len(unclaimed)] == unclaimed
+    assert built == len(forms)  # every candidate is built at most once
+    oracle = _pick_until_used_up(monkeypatch, mode, rebuild_every_pick, claims)
+    assert oracle[0] == picked
+    assert dataclasses.asdict(oracle[2].stats) == dataclasses.asdict(session.stats)
+
+
+@pytest.mark.parametrize("mode", PRESETS)
+def test_used_up_plan_seals_the_entry_and_counts_a_duplicate(monkeypatch, mode):
+    picked, built, session, point, op, entry, forms = _pick_until_used_up(
+        monkeypatch, mode, RepairSession.create_transformation
+    )
+    assert picked == forms + [None, None]
+    assert built == len(forms)
+    # the pick after the last form finds the plan used up: the entry is
+    # sealed and one duplicate counted; the next pick finds no entry
+    assert session.stats.duplicates == 1
+    assert session.stats.exhausted_selections == 1
+    assert session.cache.contains(point.node_id, op.name, entry.printed)
+    assert (point.node_id, op.name, entry.printed) not in session._plans
+    oracle = _pick_until_used_up(monkeypatch, mode, rebuild_every_pick)
+    assert oracle[0] == picked
+    assert dataclasses.asdict(oracle[2].stats) == dataclasses.asdict(session.stats)
