@@ -21,6 +21,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from minirepair.config import SCOPES
 from minirepair.lang.ast import EXPRESSION_KINDS, Node, SourceProject, Type, pre_order
@@ -52,6 +53,11 @@ class Ingredient:
     origin_module: str
     origin_function: str
     free_vars: frozenset[tuple[str, Type]]
+
+    @cached_property
+    def ref_names(self) -> tuple[str, ...]:
+        """Names of the variable references in the subtree, in pre-order."""
+        return tuple(n.name for n in pre_order(self.subtree) if n.kind == "var-ref")
 
 
 @dataclass
@@ -138,14 +144,13 @@ def abstract_expression(node: Node, types: ProjectTypes) -> tuple[Node, list[tup
                 label = str(ty).replace("[", "arr_").replace("]", "")
                 mapping[n.name] = (f"_{label}_{len(mapping)}", ty)
             return Node("var-ref", name=mapping[n.name][0])
-        clone = n.clone()
-        clone.children = []
+        children = []
         for child in n.children:
             sub = walk(child)
             if sub is None:
                 return None
-            clone.children.append(sub)
-        return clone
+            children.append(sub)
+        return n.copy_node(children)
 
     abstracted = walk(node)
     if abstracted is None:
@@ -247,6 +252,8 @@ class FunctionSimilarity:
 
     def __init__(self, project: SourceProject):
         self._tokens = {}
+        # scores by ordered (fn_a, fn_b); the functions never change
+        self._scores: dict[tuple[str, str], float] = {}
         for sf in project.files:
             for fn in sf.functions:
                 tokens = token_multiset(print_tree(fn))
@@ -258,11 +265,13 @@ class FunctionSimilarity:
                 self._tokens[fn.name] = tokens
 
     def similarity(self, fn_a: str, fn_b: str) -> float:
-        a = self._tokens.get(fn_a)
-        b = self._tokens.get(fn_b)
-        if a is None or b is None:
-            return 0.0
-        return cosine_similarity(a, b)
+        score = self._scores.get((fn_a, fn_b))
+        if score is None:
+            a = self._tokens.get(fn_a)
+            b = self._tokens.get(fn_b)
+            score = 0.0 if a is None or b is None else cosine_similarity(a, b)
+            self._scores[fn_a, fn_b] = score
+        return score
 
 
 # -- attempt cache -------------------------------------------------------------
@@ -332,10 +341,7 @@ def select_ingredient(
     if strategy == "name-probability":
         if name_model is None:
             raise ValueError("name-probability selection needs a NameFrequencyModel")
-        weights = []
-        for e in candidates:
-            names = [n.name for n in pre_order(e.subtree) if n.kind == "var-ref"]
-            weights.append(name_model.score(names))
+        weights = [name_model.score(e.ref_names) for e in candidates]
         return candidates[rng.weighted_index(weights)]
     raise ValueError(f"unknown ingredient selection strategy {strategy!r}")
 
@@ -349,27 +355,22 @@ def substitute_variables(node: Node, mapping: dict[str, str]) -> Node:
 
     def walk(n: Node, bound: frozenset[str]) -> Node:
         if n.kind == "var-ref":
-            clone = n.clone()
+            clone = n.copy_node([])
             if n.name in mapping and n.name not in bound:
                 clone.name = mapping[n.name]
             return clone
-        clone = n.clone()
-        clone.children = []
         if n.kind == "block":
+            children = []
             names: set[str] = set()
             for stmt in n.children:
-                inner = bound | names
+                inner = frozenset(bound | names)
                 if stmt.kind == "var-decl":
-                    decl = stmt.clone()
-                    decl.children = [walk(stmt.children[0], frozenset(inner))]
-                    clone.children.append(decl)
+                    children.append(stmt.copy_node([walk(stmt.children[0], inner)]))
                     names.add(stmt.name)
                 else:
-                    clone.children.append(walk(stmt, frozenset(inner)))
-            return clone
-        for child in n.children:
-            clone.children.append(walk(child, bound))
-        return clone
+                    children.append(walk(stmt, inner))
+            return n.copy_node(children)
+        return n.copy_node([walk(child, bound) for child in n.children])
 
     return walk(node, frozenset())
 

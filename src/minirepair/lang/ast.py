@@ -120,19 +120,27 @@ class Node:
     def clone(self, *, keep_ids: bool = False) -> "Node":
         """Deep copy.  With keep_ids=False all copies get node_id -1 and are
         renumbered when spliced into a project."""
-        return Node(
-            kind=self.kind,
-            children=[c.clone(keep_ids=keep_ids) for c in self.children],
-            op=self.op,
-            value=self.value,
-            name=self.name,
-            type_ann=self.type_ann,
-            params=list(self.params) if self.params is not None else None,
-            ret=self.ret,
-            node_id=self.node_id if keep_ids else -1,
-            line=self.line,
-            col=self.col,
-        )
+        dup = self.copy_node([c.clone(keep_ids=keep_ids) for c in self.children])
+        if keep_ids:
+            dup.node_id = self.node_id
+        return dup
+
+    def copy_node(self, children: list["Node"]) -> "Node":
+        """This node alone, with `children` as its children and node_id -1
+        (a clone() that does not copy the subtree)."""
+        dup = object.__new__(Node)
+        dup.kind = self.kind
+        dup.children = children
+        dup.op = self.op
+        dup.value = self.value
+        dup.name = self.name
+        dup.type_ann = self.type_ann
+        dup.params = None if self.params is None else list(self.params)
+        dup.ret = self.ret
+        dup.node_id = -1
+        dup.line = self.line
+        dup.col = self.col
+        return dup
 
 
 def pre_order(node: Node) -> Iterator[Node]:

@@ -12,6 +12,9 @@ Semantics notes:
   - `&&` and `||` short-circuit;
   - arrays are reference values (the only aliasing in the language);
   - falling off the end of a non-void function is `missing-return`.
+
+A loop that provably never ends is stopped at its head with the trace the
+step loop would give (see `_LoopCut`).
 """
 
 from __future__ import annotations
@@ -26,6 +29,11 @@ _WRAP = 1 << 64
 
 MAX_CALL_DEPTH = 200
 DEFAULT_STEP_BUDGET = 1_000_000
+
+# iterations a loop runs before it starts checking for a repeated head state
+_CUT_AFTER_ITERATIONS = 8
+# operators whose operands decide a step count or a runtime error
+_GUARDED_OPS = frozenset({"&&", "||", "/", "%"})
 
 
 class Unit:
@@ -111,6 +119,147 @@ def _runtime_matches(value, ty: Type) -> bool:
     return False
 
 
+def _loop_names(loop: Node) -> tuple[set[str], set[str], set[str], bool]:
+    """Static facts about a `while` loop: (relevant, assigned, used, mutates).
+
+    relevant: the names that can decide a branch, a step count, a callee's
+      run or a runtime error (a backward slice, Weiser 1981): the names in
+      conditions, in operands of `&&`, `||`, `/` and `%`, in index bases and
+      subscripts, in call arguments and on both sides of an element
+      assignment, closed under `x = e` and `let x = e` (x relevant makes
+      the names of e relevant);
+    assigned: names that are assigned or declared in the loop;
+    used: names read or assigned in the loop;
+    mutates: whether the loop can write into an array (an element
+      assignment, or a call of a program function).
+    """
+    relevant: set[str] = set()
+    assigned: set[str] = set()
+    flows: list[tuple[str, set[str]]] = []
+    mutates = False
+
+    def walk(node: Node) -> set[str]:
+        nonlocal mutates
+        below = [walk(child) for child in node.children]
+        names = set().union(*below)
+        kind = node.kind
+        if kind == "var-ref":
+            names.add(node.name)
+        elif kind in ("if", "while"):
+            relevant.update(below[0])
+        elif kind == "index" or (kind == "binary-op" and node.op in _GUARDED_OPS):
+            relevant.update(names)
+        elif kind == "call":
+            relevant.update(names)
+            mutates = mutates or node.name != "len"
+        elif kind == "assign":
+            target = node.children[0]
+            if target.kind == "var-ref":
+                assigned.add(target.name)
+                flows.append((target.name, below[1]))
+            else:
+                relevant.update(names)
+                mutates = True
+        elif kind == "var-decl":
+            assigned.add(node.name)
+            flows.append((node.name, names))
+        return names
+
+    used = walk(loop)
+    grown = True
+    while grown:
+        grown = False
+        for name, sources in flows:
+            if name in relevant and not sources <= relevant:
+                relevant |= sources
+                grown = True
+    return relevant, assigned, used, mutates
+
+
+def _encode(value, seen: dict):
+    """Type-tagged deep encoding of a value.  An array met before in the
+    same snapshot is encoded as its first-visit number, so two names that
+    share one array differ from two equal but separate arrays."""
+    if type(value) is list:
+        first = seen.get(id(value))
+        if first is not None:
+            return first
+        seen[id(value)] = len(seen)
+        return (list, tuple([_encode(v, seen) for v in value]))
+    if type(value) is float:
+        return (float, value.hex())  # tells -0.0 from 0.0
+    return (type(value), value)
+
+
+def _encode_arrays(arrays: list) -> tuple:
+    seen: dict = {}
+    return tuple([_encode(a, seen) for a in arrays])
+
+
+class _LoopCut:
+    """Brent's cycle detection (BIT 1980) over the states of one loop
+    execution at its head.
+
+    The snapshot tracks the names the loop assigns and, if it can write
+    into an array, every name it reads; any other name keeps its value.
+    It holds the value of a relevant name (see `_loop_names`) and every
+    array, deeply encoded, and only the type of any other value.  When two
+    snapshots are equal, every later branch, step count, callee run and
+    runtime error repeats the iterations between them, and none of those
+    iterations ended the run: the loop would run into the step budget, and
+    every statement it would still cover is covered already.
+
+    A snapshot is kept in two parts: a shape (each tracked name's type and
+    its value, or an array's length) and the deep encoding of the arrays,
+    built only when the shape matches the saved one.  A loop that makes
+    progress in a counter thus never pays for encoding its arrays.
+    """
+
+    __slots__ = ("slots", "saved_shape", "saved_arrays", "power", "count")
+
+    def __init__(self, loop: Node, scopes: list[dict]):
+        relevant, assigned, used, mutates = _loop_names(loop)
+        tracked = used | assigned if mutates else assigned
+        # the scopes seen at the loop head gain no names while it runs, so
+        # each tracked name stays in one scope, and an unbound one unbound
+        slots = []
+        for name in sorted(tracked):
+            for scope in reversed(scopes):
+                if name in scope:
+                    slots.append((scope, name, name in relevant))
+                    break
+        self.slots = tuple(slots)
+        self.saved_shape = None
+        self.saved_arrays = None
+        self.power = 1
+        self.count = 0
+
+    def repeats(self) -> bool:
+        """Snapshot the loop head; True when it equals the saved snapshot,
+        which is replaced at power-of-two iteration counts."""
+        arrays = []
+        shape = []
+        for scope, name, relevant in self.slots:
+            value = scope[name]
+            kind = type(value)
+            shape.append(kind)
+            if kind is list:
+                arrays.append(value)
+                shape.append(len(value))
+            elif not relevant:
+                shape.append(None)
+            else:
+                shape.append(value.hex() if kind is float else value)
+        shape = tuple(shape)
+        if shape == self.saved_shape and _encode_arrays(arrays) == self.saved_arrays:
+            return True
+        self.count += 1
+        if self.count >= self.power:  # not ==: a RecursionError may have skipped a save
+            self.saved_shape, self.saved_arrays = shape, _encode_arrays(arrays)
+            self.power, self.count = 2 * self.power, 0
+        return False
+
+
 class _Run:
     def __init__(self, project: SourceProject, budget: int):
         self.project = project
@@ -163,8 +312,23 @@ class _Run:
                 else:
                     self.exec_block(alt, scopes)
         elif kind == "while":
-            while self.eval_bool(stmt.children[0], scopes):
-                self.exec_block(stmt.children[1], scopes)
+            cond, body = stmt.children[0], stmt.children[1]
+            unchecked = _CUT_AFTER_ITERATIONS
+            cut = None
+            while self.eval_bool(cond, scopes):
+                self.exec_block(body, scopes)
+                if unchecked:
+                    unchecked -= 1
+                    continue
+                try:
+                    if cut is None:
+                        cut = _LoopCut(stmt, scopes)
+                    if cut.repeats():
+                        # the loop never ends: stop as the step loop would
+                        self.steps = self.budget
+                        raise _Timeout()
+                except RecursionError:
+                    pass  # no stack for the check; the step loop decides
         else:
             raise _RuntimeFault("type-error", stmt)
 

@@ -18,6 +18,11 @@ def load_bug(name: str):
     return load_project_dir(CORPUS / name)
 
 
+def nested(frames: int, fn):
+    """fn() called under `frames` extra Python frames."""
+    return fn() if frames == 0 else nested(frames - 1, fn)
+
+
 def bug_meta(name: str) -> dict:
     return json.loads((CORPUS / name / "bug.json").read_text())
 

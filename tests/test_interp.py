@@ -5,7 +5,7 @@ import pytest
 from minirepair.lang import UNIT, execute, parse_project, pre_order
 from minirepair.lang.interp import MAX_CALL_DEPTH
 
-from conftest import load_bug
+from conftest import load_bug, nested
 
 
 def run(source: str, entry: str, args, budget=100_000):
@@ -143,10 +143,6 @@ fn depth(n: int) -> int {
 """
 
 
-def _nested(frames: int, fn):
-    return fn() if frames == 0 else _nested(frames - 1, fn)
-
-
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
@@ -158,7 +154,7 @@ def test_call_depth_cap_is_exact_at_any_caller_depth(extra_frames):
     def outcomes():
         return [run(DEPTH_SRC, "depth", [n], budget=10_000_000).outcome for n in (199, 201)]
 
-    below, beyond = _nested(extra_frames, outcomes)
+    below, beyond = nested(extra_frames, outcomes)
     assert below.is_normal and below.value == 199
     assert beyond.error_kind == "stack-overflow"
 
