@@ -61,6 +61,13 @@ class ProjectLoadError(Exception):
     pass
 
 
+# what reading bad input raises: each ends in "error: ..." and exit code 1
+# (OSError: a config, source, suite or bug.json file that cannot be read)
+INPUT_ERRORS = (
+    ProjectLoadError, ProjectError, TypeCheckError, SuiteError, ConfigError, ValueError, OSError
+)
+
+
 def load_project_dir(project_dir: str | Path) -> tuple[SourceProject, list[TestCase], dict]:
     """Parse <dir>/src/**/*.mini and <dir>/tests.json (paths are stored
     relative to src/, so module names follow the directory layout), and
@@ -145,7 +152,7 @@ def cmd_repair(args) -> int:
     try:
         project, suite, meta = load_project_dir(args.project_dir)
         config = build_config(args, meta)
-    except (ProjectLoadError, ProjectError, TypeCheckError, SuiteError, ConfigError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
@@ -257,7 +264,7 @@ def cmd_bench(args) -> int:
     try:
         pairs = [(bug, mode) for bug in bugs for mode in modes]
         rows = bench_run(corpus, pairs, seeds, overrides)
-    except (ProjectLoadError, ProjectError, TypeCheckError, SuiteError, ConfigError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out_dir = Path(args.out)

@@ -48,7 +48,14 @@ from minirepair.ingredients import (
 )
 from minirepair.lang.ast import LOGICAL_OPS, RELATIONAL_OPS, Node, SourceProject, Type
 from minirepair.lang.printer import print_sources, print_tree
-from minirepair.lang.types import TypeCheckError, cached_types, check_project, env_at
+from minirepair.lang.types import (
+    TypeCheckError,
+    cached_types,
+    check_project,
+    check_statement,
+    flatten_scopes,
+    scope_stack,
+)
 from minirepair.operators import (
     OperatorSpace,
     RepairOperator,
@@ -73,6 +80,9 @@ class ModificationPoint:
     file: str = ""
     module: str = ""
     function: str = ""
+    # the checker's scope stack before the point's statement (types.scope_stack);
+    # None for a hand-made point, whose variants get the full check
+    scopes: Optional[tuple[dict[str, Type], ...]] = field(default=None, compare=False, hash=False)
 
 
 @dataclass
@@ -196,14 +206,16 @@ def create_modification_points(
 
     def make_point(node: Node, sv: float) -> ModificationPoint:
         path = project.file_of[node.node_id]
+        scopes = tuple(scope_stack(project, node.node_id))
         return ModificationPoint(
             node_id=node.node_id,
             granularity=granularity,
             suspiciousness=sv,
-            env=env_at(project, node.node_id),
+            env=flatten_scopes(scopes),
             file=path,
             module=module_by_path[path],
             function=project.enclosing_function(node.node_id).name,
+            scopes=scopes,
         )
 
     points: list[ModificationPoint] = []
@@ -217,6 +229,23 @@ def create_modification_points(
             for target in _expression_targets(project, stmt, granularity):
                 points.append(make_point(target, loc.suspiciousness))
     return points
+
+
+def _standing_in(project: SourceProject, variant: SourceProject, stmt: Node) -> Optional[Node]:
+    """What stands in `stmt`'s place in a one-edit variant of `project`:
+    `stmt` itself (or the variant's copy of it) while it keeps its parent,
+    else the node that took its slot, or None when the slot is gone."""
+    holder_id = project.parents[stmt.node_id]
+    if variant.parents.get(stmt.node_id) == holder_id:
+        return variant.nodes[stmt.node_id]
+    slots = project.nodes[holder_id].children
+    now = variant.nodes[holder_id].children
+    if len(now) != len(slots):
+        return None
+    for i, child in enumerate(slots):
+        if child is stmt:
+            return now[i]
+    raise ValueError("statement is not a child of its recorded parent")
 
 
 # -- selection strategies --------------------------------------------------------
@@ -514,24 +543,57 @@ class RepairSession:
         return ProgramVariant(self._variant_counter, list(transformations), generation)
 
     def materialize(self, transformations) -> Optional[SourceProject]:
-        """Apply transformations in order on a copy-on-write clone; returns
-        None when the result does not scope/type check.
+        """Apply transformations in order to a variant; returns None when
+        the result does not scope/type check.
 
-        The variant deep-copies only the functions that hold the points and
-        shares every other function tree with the session project, which
-        is never modified.  Only the copied functions are type-checked,
-        against the signatures of the whole project: the session project
-        passed the check, and operators never change a signature or move a
-        node into another function, so the verdict equals that of a full
-        check."""
+        The variant copies only the path from each edited node up to its
+        function root and shares every other node with the session
+        project, which is never modified (`operators.apply_edits`).  A
+        variant of one edit whose statement still declares what it did is
+        judged by `check_statement` alone (see `_statement_gate`); any
+        other variant gets its edited functions type-checked against the
+        signatures of the whole project.  Either verdict equals that of a
+        full check, because the session project passed it and operators
+        never change a signature or move a node into another function."""
         variant, edited = apply_edits(
             self.project, [(t.operator, t.point.node_id, t.concrete) for t in transformations]
         )
+        if len(transformations) == 1 and transformations[0].point.scopes is not None:
+            verdict = self._statement_gate(transformations[0].point, variant)
+            if verdict is not None:
+                return variant if verdict else None
         try:
-            check_project(variant, edited)
+            check_project(variant, edited, self.types.signatures)
         except TypeCheckError:
             return None
         return variant
+
+    def _statement_gate(self, point: ModificationPoint, variant: SourceProject) -> Optional[bool]:
+        """Type gate of a one-edit variant, or None when it cannot decide.
+
+        S is the statement that holds the point and S' what stands in its
+        place in the variant (nothing when it was removed).  S' is checked
+        in the scope stack before S.  If it passes and declares what S
+        declared, every other statement of the project is checked in the
+        same scopes as in the session project, which passed: the variant
+        passes.  If the declarations differ, a later statement may see
+        another scope, so only the function check can tell."""
+        stmt = self.project.enclosing_statement(point.node_id)
+        standing = _standing_in(self.project, variant, stmt)
+        try:
+            declared = None if standing is None else check_statement(
+                standing,
+                point.scopes,
+                self.project.functions[point.function][1].ret,
+                self.types.signatures,
+            )
+        except TypeCheckError:
+            return False
+        if stmt.kind == "var-decl":
+            before = (stmt.name, self.types.type_of(stmt.node_id))
+        else:
+            before = None
+        return True if declared == before else None
 
     def _validate(self, variant: ProgramVariant, iteration: int) -> Optional[int]:
         """Materialize + validate a variant; returns its fitness, or None

@@ -13,8 +13,9 @@ function of its file contents.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_
 from pathlib import PurePosixPath
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 STATEMENT_KINDS = frozenset(
     {"assign", "if", "while", "return", "expr-stmt", "block", "var-decl"}
@@ -182,9 +183,9 @@ class SourceFile:
 class SourceProject:
     """Parsed multi-file program with indexed, stably numbered nodes.
 
-    A clone may share function trees and `SourceFile`s with the project it
-    was cloned from (see `clone`): mutate only the functions a clone copied,
-    and reindex them after each edit."""
+    A variant made by `derive` shares its trees with the project it came
+    from: it may edit only the nodes it owns (see `own_path`), and it
+    keeps its indexes up to date with `relink` after each edit."""
 
     def __init__(self, files: list[SourceFile]):
         self.files = files
@@ -192,8 +193,6 @@ class SourceProject:
         self.parents: dict[int, Optional[int]] = {}
         self.file_of: dict[int, str] = {}
         self.functions: dict[str, tuple[SourceFile, Node]] = {}
-        # ids in each function tree, so a partial reindex can drop removed ones
-        self.function_ids: dict[str, list[int]] = {}
         self.max_id = 0
         self._assign_ids()
         self.reindex()
@@ -207,31 +206,18 @@ class SourceProject:
                     counter += 1
         self.max_id = counter - 1
 
-    def reindex(self, functions: Optional[Iterable[str]] = None) -> None:
-        """Rebuild node/parent/file indexes; assigns fresh ids to any node
-        with node_id == -1 (subtrees spliced in by repair operators).
-
-        `functions` names the function trees to walk (None: all of them).
-        Ids a named function no longer contains are dropped; the entries
-        of every other function are kept as they are.  Fresh ids are given
-        in project order, so when only the named functions hold -1 nodes
-        the numbering equals that of a full reindex."""
-        if functions is None:
-            self.nodes.clear()
-            self.parents.clear()
-            self.file_of.clear()
-            self.functions.clear()
-            self.function_ids.clear()
-        else:
-            functions = set(functions)
+    def reindex(self) -> None:
+        """Rebuild node/parent/file indexes; assigns fresh ids, in project
+        pre-order, to any node with node_id == -1."""
+        self.nodes.clear()
+        self.parents.clear()
+        self.file_of.clear()
+        self.functions.clear()
         nodes, parents, file_of = self.nodes, self.parents, self.file_of
         next_id = self.max_id + 1
         for sf in self.files:
             path = sf.path
             for fn in sf.functions:
-                if functions is not None and fn.name not in functions:
-                    continue
-                ids = []
                 stack: list[tuple[Node, Optional[int]]] = [(fn, None)]
                 while stack:
                     node, parent_id = stack.pop()
@@ -239,17 +225,12 @@ class SourceProject:
                         node.node_id = next_id
                         next_id += 1
                     nid = node.node_id
-                    ids.append(nid)
                     nodes[nid] = node
                     parents[nid] = parent_id
                     file_of[nid] = path
                     for child in reversed(node.children):
                         stack.append((child, nid))
-                if functions is not None:
-                    for gone in set(self.function_ids[fn.name]).difference(ids):
-                        del nodes[gone], parents[gone], file_of[gone]
                 self.functions[fn.name] = (sf, fn)
-                self.function_ids[fn.name] = ids
         self.max_id = max(next_id - 1, self.max_id)
 
     def node(self, node_id: int) -> Node:
@@ -282,38 +263,118 @@ class SourceProject:
     def statement_ids(self) -> list[int]:
         return sorted(nid for nid, n in self.nodes.items() if n.is_statement())
 
-    def clone(self, functions: Optional[Iterable[str]] = None) -> "SourceProject":
-        """Copy-on-write copy of the project.
-
-        The named function trees (None: all of them) are deep-copied with
-        their node ids; every other function tree, and every `SourceFile`
-        that holds none of the named functions, is shared with this
-        project.  The indexes are copied as dicts and then pointed at the
-        copied nodes, so nothing is renumbered."""
-        if functions is not None:
-            functions = set(functions)
-        dup = SourceProject.__new__(SourceProject)
-        dup.nodes = dict(self.nodes)
-        dup.parents = dict(self.parents)
-        dup.file_of = dict(self.file_of)
-        dup.functions = dict(self.functions)
-        dup.function_ids = dict(self.function_ids)
-        dup.max_id = self.max_id
+    def clone(self) -> "SourceProject":
+        """Deep copy of every tree, with the node ids and the indexes."""
+        dup = self.derive()
         dup.files = []
         for sf in self.files:
-            if functions is not None and functions.isdisjoint(fn.name for fn in sf.functions):
-                dup.files.append(sf)
-                continue
             own = SourceFile(sf.path, sf.module, [])
             for fn in sf.functions:
-                if functions is None or fn.name in functions:
-                    fn = fn.clone(keep_ids=True)
-                    for node in pre_order(fn):
-                        dup.nodes[node.node_id] = node
+                fn = fn.clone(keep_ids=True)
+                for node in pre_order(fn):
+                    dup.nodes[node.node_id] = node
                 own.functions.append(fn)
                 dup.functions[fn.name] = (own, fn)
             dup.files.append(own)
         return dup
+
+    def derive(self) -> "SourceProject":
+        """Variant shell: shares every tree and `SourceFile` with this
+        project, which its edits never modify, and copies only the indexes
+        (the three node dicts are copied at C speed)."""
+        dup = SourceProject.__new__(SourceProject)
+        dup.files = list(self.files)
+        dup.nodes = dict(self.nodes)
+        dup.parents = dict(self.parents)
+        dup.file_of = dict(self.file_of)
+        dup.functions = dict(self.functions)
+        dup.max_id = self.max_id
+        return dup
+
+    def own_path(self, node_id: int, owned: set[int]) -> Node:
+        """Path copying: make every node from node_id's function root down
+        to node_id this project's own; returns its own node at node_id.
+
+        `owned` holds the ids of the nodes this project already owns; it
+        is closed under parents, so the walk up stops at the first owned
+        node.  Each node on the path that is not owned is copied once,
+        keeping its id and sharing its children, and put in its (owned)
+        parent's place; a copied function root gets its own `SourceFile`."""
+        path = []
+        nid: Optional[int] = node_id
+        while nid is not None and nid not in owned:
+            path.append(nid)
+            nid = self.parents[nid]
+        parent = None if nid is None else self.nodes[nid]
+        for nid in reversed(path):
+            node = self.nodes[nid]
+            dup = node.copy_node(list(node.children))
+            dup.node_id = nid
+            if parent is None:
+                self._own_root(node, dup)
+            else:
+                siblings = parent.children
+                siblings[_index_of(siblings, node)] = dup
+            self.nodes[nid] = dup
+            owned.add(nid)
+            parent = dup
+        return self.nodes[node_id]
+
+    def _own_root(self, old: Node, new: Node) -> None:
+        sf = self.functions[old.name][0]
+        own = SourceFile(sf.path, sf.module, [new if fn is old else fn for fn in sf.functions])
+        self.files[_index_of(self.files, sf)] = own
+        for fn in own.functions:
+            self.functions[fn.name] = (own, fn)
+
+    def relink(self, parent: Node, before: list[Node], owned: set[int]) -> None:
+        """Update the indexes after the children of `parent`, an owned
+        node, changed from `before` to their current list.
+
+        Each new node (node_id -1) under a new child gets the next id in
+        pre-order, the id a full reindex gives it, and joins `owned`; a
+        new child that has an id, or a node with an id under a new node,
+        is pointed at its new parent and keeps its subtree; an old child
+        that was not reattached loses the ids of its whole subtree."""
+        children = parent.children
+        if len(children) == len(before) and all(map(is_, children, before)):
+            return
+        old = {id(child) for child in before}
+        current = {id(child) for child in children}
+        path = self.file_of[parent.node_id]
+        nodes, parents, file_of = self.nodes, self.parents, self.file_of
+        moved = set()
+        next_id = self.max_id + 1
+        stack = [(child, parent.node_id) for child in reversed(children) if id(child) not in old]
+        while stack:
+            node, parent_id = stack.pop()
+            if node.node_id != -1:
+                parents[node.node_id] = parent_id
+                moved.add(node.node_id)
+                continue
+            node.node_id = nid = next_id
+            next_id += 1
+            nodes[nid] = node
+            parents[nid] = parent_id
+            file_of[nid] = path
+            owned.add(nid)
+            for child in reversed(node.children):
+                stack.append((child, nid))
+        self.max_id = next_id - 1
+        detached = [child for child in before if id(child) not in current]
+        while detached:
+            node = detached.pop()
+            if node.node_id not in moved:
+                del nodes[node.node_id], parents[node.node_id], file_of[node.node_id]
+                detached.extend(node.children)
+
+
+def _index_of(items: list, item) -> int:
+    """Position of `item` by identity (list.index compares by value)."""
+    for i, other in enumerate(items):
+        if other is item:
+            return i
+    raise ValueError("item is not in the list")
 
 
 def _pre_order_ordered(node: Node) -> Iterator[Node]:

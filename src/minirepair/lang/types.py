@@ -16,7 +16,7 @@ literal `[]` matches any array type.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from minirepair.lang.ast import (
     BOOL,
@@ -75,7 +75,7 @@ def _comparable_eq(a: Type, b: Type) -> bool:
 
 
 class _Checker:
-    def __init__(self, project: SourceProject):
+    def __init__(self, project: SourceProject | None):
         self.project = project
         self.types = ProjectTypes()
         self.path = ""
@@ -84,16 +84,19 @@ class _Checker:
     def fail(self, node: Node, message: str):
         raise TypeCheckError(self.path, node.line, message)
 
-    def run(self, functions: frozenset[str] | None) -> ProjectTypes:
-        for sf in self.project.files:
-            for fn in sf.functions:
-                if fn.name in BUILTINS:
-                    self.path = sf.path
-                    self.fail(fn, f"'{fn.name}' is a built-in function name")
-                self.types.signatures[fn.name] = (
-                    tuple(ty for _, ty in fn.params),
-                    fn.ret,
-                )
+    def run(self, functions: frozenset[str] | None, signatures=None) -> ProjectTypes:
+        if signatures is not None:
+            self.types.signatures = signatures
+        else:
+            for sf in self.project.files:
+                for fn in sf.functions:
+                    if fn.name in BUILTINS:
+                        self.path = sf.path
+                        self.fail(fn, f"'{fn.name}' is a built-in function name")
+                    self.types.signatures[fn.name] = (
+                        tuple(ty for _, ty in fn.params),
+                        fn.ret,
+                    )
         for sf in self.project.files:
             self.path = sf.path
             for fn in sf.functions:
@@ -312,7 +315,9 @@ class _Checker:
 
 
 def check_project(
-    project: SourceProject, functions: Iterable[str] | None = None
+    project: SourceProject,
+    functions: Iterable[str] | None = None,
+    signatures: dict[str, tuple[tuple[Type, ...], Type | None]] | None = None,
 ) -> ProjectTypes:
     """Type- and scope-check the project; raises TypeCheckError.
 
@@ -321,13 +326,39 @@ def check_project(
     are recorded for those bodies only.  A repair variant passes exactly
     when its edited functions pass, because operators never change a
     signature or move a node into another function and the unedited
-    functions are those of a checked project."""
-    return _Checker(project).run(None if functions is None else frozenset(functions))
+    functions are those of a checked project; so a variant may pass that
+    project's checked `signatures`, which are then neither rebuilt nor
+    checked again.  A variant with one edit usually needs only
+    `check_statement`."""
+    return _Checker(project).run(
+        None if functions is None else frozenset(functions), signatures
+    )
 
 
-def env_at(project: SourceProject, node_id: int) -> dict[str, Type]:
-    """Variables (name -> type) visible just before executing the statement
-    that contains node_id.  For a var-decl, its own binding is excluded."""
+def check_statement(
+    stmt: Node,
+    scopes: Sequence[dict[str, Type]],
+    ret: Type | None,
+    signatures: dict[str, tuple[tuple[Type, ...], Type | None]],
+) -> tuple[str, Type] | None:
+    """Check one statement in the scope stack `scopes` (see `scope_stack`)
+    of a function returning `ret`, with the project's `signatures`; raises
+    TypeCheckError.  Returns the (name, type) the statement declares into
+    the innermost scope, or None.  `scopes` is not modified."""
+    checker = _Checker(None)
+    checker.types.signatures = signatures
+    checker.ret = ret
+    innermost = dict(scopes[-1])
+    checker.check_stmt(stmt, [*scopes[:-1], innermost])
+    return (stmt.name, innermost[stmt.name]) if stmt.kind == "var-decl" else None
+
+
+def scope_stack(project: SourceProject, node_id: int) -> list[dict[str, Type]]:
+    """The checker's scope stack just before the statement that contains
+    node_id: the parameters, then one scope per enclosing block with the
+    declarations that come before the statement in that block (an else-if
+    shares the stack of its `if`).  For a var-decl, its own binding is
+    excluded."""
     fn = project.enclosing_function(node_id)
     path = []
     cur = node_id
@@ -336,10 +367,11 @@ def env_at(project: SourceProject, node_id: int) -> dict[str, Type]:
         cur = project.parents[cur]
     path.reverse()  # children along the way from fn body down to node_id
 
-    env: dict[str, Type] = dict(fn.params)
+    scopes: list[dict[str, Type]] = [dict(fn.params)]
     node: Node = fn
     for child_id in path:
         if node.kind == "block":
+            scope = {}
             for stmt in node.children:
                 if stmt.node_id == child_id:
                     break
@@ -348,9 +380,24 @@ def env_at(project: SourceProject, node_id: int) -> dict[str, Type]:
                     if ty is None:
                         # recover the declared type from the checked project
                         ty = _declared_type(project, stmt)
-                    env[stmt.name] = ty
+                    scope[stmt.name] = ty
+            scopes.append(scope)
         node = project.nodes[child_id]
+    return scopes
+
+
+def flatten_scopes(scopes: Iterable[dict[str, Type]]) -> dict[str, Type]:
+    """Name -> type of every variable visible in a scope stack."""
+    env: dict[str, Type] = {}
+    for scope in scopes:
+        env.update(scope)
     return env
+
+
+def env_at(project: SourceProject, node_id: int) -> dict[str, Type]:
+    """Variables (name -> type) visible just before executing the statement
+    that contains node_id.  For a var-decl, its own binding is excluded."""
+    return flatten_scopes(scope_stack(project, node_id))
 
 
 def _declared_type(project: SourceProject, decl: Node) -> Type:

@@ -13,15 +13,17 @@ Four spaces are provided:
                       target) with an ingredient expression
 
 Operators never mutate the project they are asked about.  `apply_edits`
-is the one way to apply them: it builds a copy-on-write clone that owns
-only the functions holding the edited nodes, mutates those, and reindexes
-the edited function after each edit.  `apply_operator` (one edit) and the
-engine's `materialize` (a variant's transformation list) both go through
-it.  An operator's `mutate` only rewires nodes inside the function that
-holds its target and never touches a signature; the partial reindex and
-the partial type check of a variant rely on that.  An operator's
-`applicable` covers its structural preconditions; whole-variant scope/type
-checking happens separately at generation time.
+is the one way to apply them: it builds a variant that shares every node
+with the project except the path from the function root down to each
+edited node, which it copies, and it updates the variant's indexes after
+each edit only where the edit changed them.  `apply_operator` (one edit)
+and the engine's `materialize` (a variant's transformation list) both go
+through it.  An operator's `mutate` changes only its target and the
+children of its target or of the target's parent, leaves the subtrees it
+moves intact, gives new nodes node_id -1, and never touches a signature;
+the path copy, the local index update and the type gate of a variant rely
+on that.  An operator's `applicable` covers its structural preconditions;
+whole-variant scope/type checking happens separately at generation time.
 """
 
 from __future__ import annotations
@@ -307,29 +309,32 @@ def operator_space(name: str) -> OperatorSpace:
 def apply_edits(
     project: SourceProject, edits: Iterable[tuple[RepairOperator, int, Node | None]]
 ) -> tuple[SourceProject, frozenset[str]]:
-    """Apply (operator, node id, ingredient) edits in order to a clone.
+    """Apply (operator, node id, ingredient) edits in order to a variant.
 
-    The clone deep-copies only the functions that hold the edited nodes and
-    shares everything else with `project`, which is never modified.  An
-    edit whose node an earlier edit removed, or whose operator no longer
-    applies there, is skipped.  Each ingredient is cloned before it is
-    spliced in.  Returns the clone and the names of its copied functions.
+    The variant (`SourceProject.derive`) shares every node with `project`,
+    which is never modified, except the nodes on the path from the
+    function root to each edited node: those are copied, with their ids,
+    at most once per variant (`own_path`).  After each edit the indexes
+    are updated where the edit changed them (`relink`).  An edit whose node
+    an earlier edit removed, or whose operator no longer applies there, is
+    skipped.  Each ingredient is cloned before it is spliced in.  Returns
+    the variant and the names of the functions it edited.
     """
-    edits = list(edits)
-    owned = frozenset(
-        project.enclosing_function(node_id).name
-        for _, node_id, _ in edits
-        if node_id in project.nodes
-    )
-    variant = project.clone(owned)
+    variant = project.derive()
+    owned: set[int] = set()  # ids of the nodes the variant copied or created
+    edited: set[str] = set()
     for op, node_id, ingredient in edits:
         target = variant.nodes.get(node_id)
         if target is None or not op.applicable(variant, target):
             continue
-        function = variant.enclosing_function(node_id).name
+        edited.add(variant.enclosing_function(node_id).name)
+        target = variant.own_path(node_id, owned)
+        parent = variant.parent(node_id)
+        siblings, children = list(parent.children), list(target.children)
         op.mutate(variant, target, ingredient.clone() if ingredient is not None else None)
-        variant.reindex([function])
-    return variant, owned
+        variant.relink(parent, siblings, owned)
+        variant.relink(target, children, owned)
+    return variant, frozenset(edited)
 
 
 def apply_operator(

@@ -233,3 +233,31 @@ def test_bench_non_integer_seed_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "--seeds" in err and "'1,x'" in err
     assert not (tmp_path / "bench").exists()
+
+
+@pytest.mark.parametrize("config_path", ["missing.cfg", "."])
+def test_unreadable_config_exits_one_without_traceback(tmp_path, capsys, config_path):
+    code = run_cli("repair", str(CORPUS / "abs-sign"), "--mode", "jmutrepair",
+                   "--config", str(tmp_path / config_path), "--out", str(tmp_path / "out"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["repair", "bench"])
+def test_unreadable_source_exits_one_without_traceback(tmp_path, capsys, command):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS / "abs-sign", corpus / "abs-sign")
+    (corpus / "abs-sign" / "src" / "extra.mini").mkdir()
+    if command == "repair":
+        code = run_cli("repair", str(corpus / "abs-sign"), "--mode", "jmutrepair",
+                       "--out", str(tmp_path / "out"))
+    else:
+        code = run_cli("bench", str(corpus), "--modes", "jmutrepair", "--seeds", "1",
+                       "--out", str(tmp_path / "out"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "extra.mini" in err
+    assert not (tmp_path / "out").exists()

@@ -6,14 +6,24 @@ project, apply each transformation and reindex the whole project after it,
 then type-check every function.  For every corpus bug, the session's
 variants must match it in printed sources, in every index entry, in the
 ids given to spliced nodes and in the type-gate verdict, and must leave
-the session project untouched.
+the session project untouched.  Hand-made edits that change what their
+statement declares get the same checks, and a one-edit variant must share
+every node off its edited path with the session project.
 """
 
-from minirepair.engine import RepairSession
-from minirepair.lang.ast import pre_order
-from minirepair.lang.printer import print_sources
+from minirepair.engine import RepairSession, Transformation, create_modification_points
+from minirepair.faultloc import SuspiciousLocation, TestCase
+from minirepair.lang.ast import parse_project, pre_order
+from minirepair.lang.printer import print_sources, print_tree
 from minirepair.lang.types import TypeCheckError, check_project
-from minirepair.operators import apply_operator
+from minirepair.operators import (
+    IfCondition,
+    InsertBefore,
+    RelationalTo,
+    ReplaceExpression,
+    ReplaceStatement,
+    apply_operator,
+)
 from minirepair.presets import config_from_preset
 from minirepair.rng import SplitMix64
 
@@ -71,6 +81,18 @@ def assert_same_variant(variant, expected, base):
                 assert variant.nodes[node.node_id] is node
 
 
+def assert_edit_local(variant, project, node_id):
+    """Every node of the variant off the path from the function root to
+    node_id is the project's own object."""
+    path = set()
+    while node_id is not None:
+        path.add(node_id)
+        node_id = project.parents[node_id]
+    for nid, node in variant.nodes.items():
+        if nid in project.nodes and nid not in path:
+            assert node is project.nodes[nid], nid
+
+
 def candidate_transformations(project, suite, meta):
     """Sessions of several presets over one project object (so their point
     ids agree) and one transformation per applicable (point, operator)."""
@@ -119,6 +141,8 @@ def test_copy_on_write_variants_match_full_copy(corpus_names):
             assert (variant is not None) == accepted, (name, ts)
             if variant is not None:
                 assert_same_variant(variant, expected, project)
+                if len(ts) == 1:
+                    assert_edit_local(variant, project, ts[0].point.node_id)
             assert print_sources(project) == base_sources
             assert node_table(project) == base_table
             assert project.parents == base_parents
@@ -141,4 +165,84 @@ def test_apply_operator_matches_full_copy(corpus_names):
             assert variant is not None
             expected, _, _ = oracle_materialize(project, [t])
             assert_same_variant(variant, expected, project)
+        assert print_sources(project) == base_sources
+
+
+# Each edit below changes what its statement declares, or sits in an
+# else-if, so a one-edit variant cannot be judged by its statement alone.
+DECLARATIONS = """\
+fn f(n: int) -> int {
+    let x: int = n + 1;
+    let y = n * 2;
+    let z = 0;
+    z = x + y;
+    let v = z % 3;
+    if (n > 10) {
+        let w = 1;
+        z = z + w;
+    } else if (n > 5) {
+        z = z - v;
+    }
+    return x % 2 + y % 2 + z;
+}
+"""
+
+
+def parsed(text):
+    """A statement, or the initializer of `let t = <expression>;`, as an
+    unnumbered ingredient."""
+    project = parse_project([("i.mini", f"fn g(n: int, w: int) {{\n    {text}\n}}\n")])
+    stmt = project.functions["g"][1].children[0].children[0]
+    return (stmt.children[0] if stmt.name == "t" else stmt).clone()
+
+
+def declaration_lists(project):
+    """(transformation list, whether the full check accepts it)."""
+    def t(stmt_text, op, ingredient=None, granularity="statement", target=None):
+        """`op` at the statement that prints as `stmt_text`, or at the
+        `target` expression in it."""
+        stmt = next(n for n in project.nodes.values()
+                    if n.is_statement() and print_tree(n).startswith(stmt_text))
+        points = create_modification_points(
+            project, [SuspiciousLocation(stmt.node_id, 1.0)], granularity)
+        point = next(p for p in points
+                     if print_tree(project.node(p.node_id)).startswith(target or stmt_text))
+        concrete = None if ingredient is None else parsed(ingredient)
+        return [Transformation(point, op, concrete,
+                               None if concrete is None else print_tree(concrete))]
+
+    replace = ReplaceStatement()
+    return [
+        # the declared type changes and a later use needs an int
+        (t("let x: int", replace, "let x: float = 1.5;"), False),
+        (t("let x: int", replace, "let x: int = n;"), True),
+        # the declaration moves into the new block
+        (t("let x: int", InsertBefore(), "n = n + 1;"), False),
+        (t("z = x + y", InsertBefore(), "n = n + 1;"), True),
+        # a later sibling redeclares what the replacement declares
+        (t("z = x + y", replace, "let v = 1;"), False),
+        (t("z = x + y", replace, "let u = 1;"), True),
+        # the unannotated initializer turns from int into float
+        (t("let y", ReplaceExpression(), "let t = n * 2.5;", "expression", "n * 2"), False),
+        (t("let y", ReplaceExpression(), "let t = n * 3;", "expression", "n * 2"), True),
+        # the else-if condition, in the scopes of its `if`
+        (t("if (n > 5)", RelationalTo("<="), None, "logical-relational", "n > 5"), True),
+        (t("if (n > 5)", ReplaceExpression(), "let t = w > 0;", "expression", "n > 5"), False),
+        (t("if (n > 5)", IfCondition(True)), True),
+    ]
+
+
+def test_declaration_changes_match_full_copy():
+    project = parse_project([("main.mini", DECLARATIONS)])
+    suite = [TestCase("t", "f", (1,), expect=0)]
+    session = RepairSession(project, suite, config_from_preset("jgenprog", step_budget=1000))
+    base_sources = print_sources(project)
+    for ts, accepts in declaration_lists(project):
+        expected, accepted, _ = oracle_materialize(project, ts)
+        assert accepted == accepts, ts
+        variant = session.materialize(ts)
+        assert (variant is not None) == accepted, ts
+        if variant is not None:
+            assert_same_variant(variant, expected, project)
+            assert_edit_local(variant, project, ts[0].point.node_id)
         assert print_sources(project) == base_sources
