@@ -175,11 +175,14 @@ def bench_run(
     seeds: list[int],
     overrides: dict | None = None,
 ) -> list[dict]:
-    """Run (bug, mode) pairs across seeds; one result row per run."""
+    """Run (bug, mode) pairs across seeds; one result row per run.  Each
+    bug is loaded once, so all its runs share one project and its analysis."""
     rows = []
+    loaded: dict[str, tuple[SourceProject, list[TestCase], dict]] = {}
     for bug_name, mode in pairs:
-        bug_dir = Path(corpus_dir) / bug_name
-        project, suite, meta = load_project_dir(bug_dir)
+        if bug_name not in loaded:
+            loaded[bug_name] = load_project_dir(Path(corpus_dir) / bug_name)
+        project, suite, meta = loaded[bug_name]
         for seed in seeds:
             config = config_from_preset(mode, seed=seed)
             if "step_budget" in meta:
@@ -291,7 +294,7 @@ def make_parser() -> argparse.ArgumentParser:
     repair.add_argument("--navigation", default=None, choices=NAVIGATIONS)
     repair.add_argument("--scope", default=None, choices=SCOPES)
     repair.add_argument("--granularity", default=None, choices=GRANULARITIES)
-    repair.add_argument("--jobs", type=int, default=None)
+    repair.add_argument("--jobs", type=int, default=None, help="accepted; has no effect")
     repair.add_argument("--step-budget", type=int, default=None)
     repair.add_argument("--formula", default=None, choices=FORMULAS)
     repair.add_argument("--config", default=None, help="flat key=value config file")

@@ -60,7 +60,7 @@ class RunConfig:
     p_cross: float = 0.25
     points_per_iteration: int = 1
     step_budget: int = 1_000_000
-    jobs: int = 1
+    jobs: int = 1  # accepted and echoed; tests always run serially (docs/config.md)
 
     def validate(self) -> None:
         checks = [

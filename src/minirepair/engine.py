@@ -256,29 +256,38 @@ def select_points(
     strategy: str,
     count: int,
     rng: SplitMix64,
+    weights: Optional[Sequence[float]] = None,
 ) -> list[ModificationPoint]:
     """Choose `count` distinct points.  uniform-random: equal probability;
     weighted-random: probability sv / sum(sv) (uniform fallback when every
-    sv is zero); sequential: descending sv, ties by ascending node id."""
+    sv is zero); sequential: descending sv, ties by ascending node id.
+
+    `weights`, the points' suspiciousness values in order, lets a caller
+    that selects from the same points many times build that list once."""
     if not points:
         raise ValueError("no modification points to select from")
     count = min(count, len(points))
     if strategy == "sequential":
         ordered = sorted(points, key=lambda p: (-p.suspiciousness, p.node_id))
         return ordered[:count]
-    remaining = list(points)
-    picked = []
-    use_weights = strategy == "weighted-random" and any(
-        p.suspiciousness > 0 for p in remaining
-    )
     if strategy not in ("uniform-random", "weighted-random"):
         raise ConfigError(f"unknown point selection strategy {strategy!r}")
+    if weights is None:
+        weights = [p.suspiciousness for p in points]
+    use_weights = strategy == "weighted-random" and any(w > 0 for w in weights)
+    if count == 1:
+        idx = rng.weighted_index(weights) if use_weights else rng.below(len(points))
+        return [points[idx]]
+    remaining = list(points)
+    weights = list(weights)
+    picked = []
     for _ in range(count):
         if use_weights:
-            idx = rng.weighted_index([p.suspiciousness for p in remaining])
+            idx = rng.weighted_index(weights)
         else:
             idx = rng.below(len(remaining))
         picked.append(remaining.pop(idx))
+        weights.pop(idx)
     return picked
 
 
@@ -356,8 +365,6 @@ class RepairSession:
         self._entry_forms: dict[tuple[int, str, str], set[str]] = {}
         self._plans: dict[tuple[int, str, str], SubstitutionPlan] = {}
         self._pool: Optional[IngredientPool] = None
-        self._similarity: Optional[FunctionSimilarity] = None
-        self._name_model = None
         self._op_counter = 0
         self._start_time = 0.0
 
@@ -365,11 +372,12 @@ class RepairSession:
         if matrix.total_failing == 0:
             raise NoFailingTests("no failing tests: nothing to repair")
         self.baseline = Baseline.from_matrix(matrix)
-        self.baseline_sources = print_sources(project)
+        self.baseline_sources = self._shared("sources", lambda: print_sources(project))
 
         ranked = suspiciousness(matrix, config.formula)
         self.suspicious = filter_suspicious(ranked, config.max_suspicious)
         self.points = create_modification_points(project, self.suspicious, config.granularity)
+        self._point_weights = [p.suspiciousness for p in self.points]
 
         self._scope = config.ingredient_scope or (
             "global" if config.operator_space == "r-expression" else "module"
@@ -381,24 +389,37 @@ class RepairSession:
 
     # -- lazy ingredient machinery ------------------------------------------
 
+    def _shared(self, key, build):
+        """The project's analysis under `key`, built on first use by any
+        session.  Sessions only read it: it depends on the project alone,
+        which no session modifies."""
+        analysis = self.project.analysis
+        if key not in analysis:
+            analysis[key] = build()
+        return analysis[key]
+
     def ingredient_pool(self) -> IngredientPool:
+        """The session's pool; `pool_builds` counts that the session used
+        one, whichever session built it."""
         if self._pool is None:
             self.stats.pool_builds += 1
             if self.config.operator_space == "r-expression":
-                self._pool = mine_templates(self.project, self.types, self._scope)
+                self._pool = self._shared(
+                    ("template-pool", self._scope),
+                    lambda: mine_templates(self.project, self.types, self._scope),
+                )
             else:
-                self._pool = build_pool(self.project, self._scope, "statement", self.types)
+                self._pool = self._shared(
+                    ("statement-pool", self._scope),
+                    lambda: build_pool(self.project, self._scope, "statement", self.types),
+                )
         return self._pool
 
     def similarity_index(self) -> FunctionSimilarity:
-        if self._similarity is None:
-            self._similarity = FunctionSimilarity(self.project)
-        return self._similarity
+        return self._shared("similarity", lambda: FunctionSimilarity(self.project))
 
     def name_model(self):
-        if self._name_model is None:
-            self._name_model = build_name_model(self.project)
-        return self._name_model
+        return self._shared("name-model", lambda: build_name_model(self.project))
 
     # -- transformation creation ----------------------------------------------
 
@@ -616,9 +637,7 @@ class RepairSession:
             self.stats.rejected_typecheck += 1
             self._validated_signatures[signature] = None
             return None
-        result = validate_variant(
-            project, self.baseline, self.config.step_budget, jobs=self.config.jobs
-        )
+        result = validate_variant(project, self.baseline, self.config.step_budget)
         self.stats.validated += 1
         self.stats.time_steps += result.steps
         for t in variant.transformations:
@@ -682,6 +701,7 @@ class RepairSession:
                 self.config.point_selection,
                 self.config.points_per_iteration,
                 self.rng.points,
+                self._point_weights,
             )
             transformations = []
             for point in chosen:
@@ -772,7 +792,8 @@ class RepairSession:
                 child.dirty = False
                 if self.rng.points.random() < self.config.p_mut:
                     point = select_points(
-                        self.points, self.config.point_selection, 1, self.rng.points
+                        self.points, self.config.point_selection, 1, self.rng.points,
+                        self._point_weights,
                     )[0]
                     op = select_operator(
                         self.space,

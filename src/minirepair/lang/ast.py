@@ -185,10 +185,17 @@ class SourceProject:
 
     A variant made by `derive` shares its trees with the project it came
     from: it may edit only the nodes it owns (see `own_path`), and it
-    keeps its indexes up to date with `relink` after each edit."""
+    keeps its indexes up to date with `relink` after each edit.
+
+    `analysis` memoizes what is computed from the unedited project (its
+    type table, ingredient pools, similarity index, name model and printed
+    sources), so every repair session on one project object shares it.
+    Nothing may edit a project once it has entries; a variant starts with
+    an empty memo of its own."""
 
     def __init__(self, files: list[SourceFile]):
         self.files = files
+        self.analysis: dict = {}
         self.nodes: dict[int, Node] = {}
         self.parents: dict[int, Optional[int]] = {}
         self.file_of: dict[int, str] = {}
@@ -289,6 +296,7 @@ class SourceProject:
         dup.file_of = dict(self.file_of)
         dup.functions = dict(self.functions)
         dup.max_id = self.max_id
+        dup.analysis = {}
         return dup
 
     def own_path(self, node_id: int, owned: set[int]) -> Node:

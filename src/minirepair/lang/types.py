@@ -401,11 +401,7 @@ def env_at(project: SourceProject, node_id: int) -> dict[str, Type]:
 
 
 def _declared_type(project: SourceProject, decl: Node) -> Type:
-    types = getattr(project, "_cached_types", None)
-    if types is None:
-        types = check_project(project)
-        project._cached_types = types
-    ty = types.type_of(decl.node_id)
+    ty = cached_types(project).type_of(decl.node_id)
     if ty is None:
         raise TypeCheckError(project.file_of[decl.node_id], decl.line,
                              f"no type recorded for declaration of '{decl.name}'")
@@ -413,11 +409,10 @@ def _declared_type(project: SourceProject, decl: Node) -> Type:
 
 
 def cached_types(project: SourceProject) -> ProjectTypes:
-    """check_project with per-project memoization."""
-    types = getattr(project, "_cached_types", None)
+    """check_project, memoized in the project's analysis memo."""
+    types = project.analysis.get("types")
     if types is None:
-        types = check_project(project)
-        project._cached_types = types
+        types = project.analysis["types"] = check_project(project)
     return types
 
 

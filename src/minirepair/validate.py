@@ -16,12 +16,12 @@ unified diffs and orders patches chronologically by discovery.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from minirepair.diffs import make_file_diff
 from minirepair.faultloc import SpectrumMatrix, TestCase, run_test
 from minirepair.lang.ast import SourceProject
+from minirepair.lang.printer import print_file
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,10 @@ class Baseline:
         return len(self.failing)
 
 
-def _run_tests(project, tests, step_budget, jobs):
-    if jobs > 1 and len(tests) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda t: run_test(project, t, step_budget), tests))
+def _run_tests(project, tests, step_budget):
+    # serial, in the caller's thread: where a deep MiniLang recursion hits
+    # Python's RecursionError depends on the stack it starts from, so a
+    # worker thread's fresh stack could change a verdict
     return [run_test(project, t, step_budget) for t in tests]
 
 
@@ -67,7 +67,6 @@ def validate_variant(
     variant_project: SourceProject,
     baseline: Baseline,
     step_budget: int,
-    jobs: int = 1,
     short_circuit: bool = True,
 ) -> ValidationResult:
     """Run the suite against a variant, originally-failing tests first."""
@@ -75,7 +74,7 @@ def validate_variant(
     steps = 0
     failing = 0
 
-    first_phase = _run_tests(variant_project, baseline.failing, step_budget, jobs)
+    first_phase = _run_tests(variant_project, baseline.failing, step_budget)
     for result in first_phase:
         verdicts.append((result.test.name, result.passed))
         steps += result.trace.steps
@@ -84,7 +83,7 @@ def validate_variant(
     if short_circuit and failing > 0:
         return ValidationResult(tuple(verdicts), failing, True, steps)
 
-    second_phase = _run_tests(variant_project, baseline.passing, step_budget, jobs)
+    second_phase = _run_tests(variant_project, baseline.passing, step_budget)
     for result in second_phase:
         verdicts.append((result.test.name, result.passed))
         steps += result.trace.steps
@@ -117,17 +116,38 @@ class Patch:
         }
 
 
+def patched_sources(
+    project: SourceProject, baseline_sources: dict[str, str], variant: SourceProject
+) -> tuple[dict[str, str], list[str]]:
+    """`print_sources(variant)` for a variant derived from `project`, and
+    the paths of its edited files.  A file the variant still shares with
+    `project` is unedited, so its text is taken from `baseline_sources`
+    (the printed `project`) instead of being printed again; `derive`
+    keeps the files in `project`'s order."""
+    sources, edited = {}, []
+    for sf, base in zip(variant.files, project.files):
+        if sf is base:
+            sources[sf.path] = baseline_sources[sf.path]
+        else:
+            sources[sf.path] = print_file(sf)
+            edited.append(sf.path)
+    return sources, edited
+
+
 def render_patch(
     baseline_sources: dict[str, str],
     variant_sources: dict[str, str],
+    edited: list[str],
     provenance,
     discovery_iteration: int,
     discovery_order: int,
     transformations=(),
 ) -> Patch:
+    """The patch of a variant whose `edited` files may differ from the
+    baseline; the other files have no diff."""
     files = []
-    for path in sorted(baseline_sources):
-        diff = make_file_diff(path, baseline_sources[path], variant_sources.get(path, ""))
+    for path in sorted(edited):
+        diff = make_file_diff(path, baseline_sources[path], variant_sources[path])
         if diff:
             files.append((path, diff))
     return Patch(
@@ -181,8 +201,7 @@ def refine_patches(session) -> RefinedSolutions:
             if project is None:
                 return -1  # un-materializable trims never keep fitness 0
             result = validate_variant(
-                project, session.baseline, session.config.step_budget,
-                jobs=session.config.jobs, short_circuit=False,
+                project, session.baseline, session.config.step_budget, short_circuit=False
             )
             session.stats.time_steps += result.steps
             return fitness(result)
@@ -190,8 +209,7 @@ def refine_patches(session) -> RefinedSolutions:
         kept = minimize_transformations(variant.transformations, revalidate)
         final_project = session.materialize(kept)
         final = validate_variant(
-            final_project, session.baseline, session.config.step_budget,
-            jobs=session.config.jobs, short_circuit=False,
+            final_project, session.baseline, session.config.step_budget, short_circuit=False
         )
         session.stats.time_steps += final.steps
         counter["n"] += 1
@@ -199,11 +217,11 @@ def refine_patches(session) -> RefinedSolutions:
         if fitness(final) != 0:
             # cannot happen for a true solution; keep the report honest
             continue
-        from minirepair.lang.printer import print_sources
-
+        sources, edited = patched_sources(session.project, session.baseline_sources, final_project)
         patch = render_patch(
             session.baseline_sources,
-            print_sources(final_project),
+            sources,
+            edited,
             [t.provenance() for t in kept],
             variant.discovery_iteration,
             out_order,

@@ -189,3 +189,35 @@ def test_report_dict_shape():
     assert set(patch) == {"order", "iteration", "files", "transformations"}
     assert patch["files"][0]["path"] == "main.mini"
     assert patch["transformations"][0]["operator"].startswith("relational-to-")
+
+
+DEEP_SOURCE = """
+fn depth(n: int) -> int {
+    if (n < 1) {
+        return 0;
+    }
+    return depth(n - 1) + 1;
+}
+
+fn bump(x: int) -> int {
+    x = x - 1;
+    return x + 1;
+}
+"""
+
+
+def test_jobs_never_changes_deep_recursion_results():
+    """Tests run in the caller's thread whatever `jobs` says.  A worker
+    thread starts from a fresh Python stack, so a MiniLang recursion 100
+    to 200 calls deep would overflow at another depth there: different
+    verdicts and step counts."""
+    suite = [TestCase(f"bump{x}", "bump", (x,), expect=x + 1) for x in (1, 5)]
+    suite += [TestCase(f"depth{n}", "depth", (n,), expect=n) for n in range(100, 201, 5)]
+    reports = []
+    for jobs in (1, 3):
+        project = parse_project([("main.mini", DEEP_SOURCE)])
+        config = config_from_preset("jkali", jobs=jobs, step_budget=100_000)
+        report = navigate(project, suite, config).report_dict()
+        assert report["config"].pop("jobs") == jobs
+        reports.append(report)
+    assert reports[0] == reports[1]
