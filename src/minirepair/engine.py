@@ -52,7 +52,7 @@ from minirepair.lang.types import (
     TypeCheckError,
     cached_types,
     check_project,
-    check_statement,
+    check_statements,
     flatten_scopes,
     scope_stack,
 )
@@ -80,8 +80,9 @@ class ModificationPoint:
     file: str = ""
     module: str = ""
     function: str = ""
-    # the checker's scope stack before the point's statement (types.scope_stack);
-    # None for a hand-made point, whose variants get the full check
+    # the checker's scope stack before the point's statement (types.scope_stack),
+    # where the type gate of a one-edit variant resumes the checker; None for
+    # a hand-made point, whose variants get the function check
     scopes: Optional[tuple[dict[str, Type], ...]] = field(default=None, compare=False, hash=False)
 
 
@@ -202,19 +203,18 @@ def create_modification_points(
     """One point per suspicious statement; at finer granularities, one point
     per qualifying expression inside each suspicious statement (expressions
     inherit the suspiciousness of their nearest enclosing statement)."""
-    module_by_path = {sf.path: sf.module for sf in project.files}
-
     def make_point(node: Node, sv: float) -> ModificationPoint:
-        path = project.file_of[node.node_id]
+        fn = project.enclosing_function(node.node_id)
+        sf = project.functions[fn.name][0]
         scopes = tuple(scope_stack(project, node.node_id))
         return ModificationPoint(
             node_id=node.node_id,
             granularity=granularity,
             suspiciousness=sv,
             env=flatten_scopes(scopes),
-            file=path,
-            module=module_by_path[path],
-            function=project.enclosing_function(node.node_id).name,
+            file=sf.path,
+            module=sf.module,
+            function=fn.name,
             scopes=scopes,
         )
 
@@ -229,23 +229,6 @@ def create_modification_points(
             for target in _expression_targets(project, stmt, granularity):
                 points.append(make_point(target, loc.suspiciousness))
     return points
-
-
-def _standing_in(project: SourceProject, variant: SourceProject, stmt: Node) -> Optional[Node]:
-    """What stands in `stmt`'s place in a one-edit variant of `project`:
-    `stmt` itself (or the variant's copy of it) while it keeps its parent,
-    else the node that took its slot, or None when the slot is gone."""
-    holder_id = project.parents[stmt.node_id]
-    if variant.parents.get(stmt.node_id) == holder_id:
-        return variant.nodes[stmt.node_id]
-    slots = project.nodes[holder_id].children
-    now = variant.nodes[holder_id].children
-    if len(now) != len(slots):
-        return None
-    for i, child in enumerate(slots):
-        if child is stmt:
-            return now[i]
-    raise ValueError("statement is not a child of its recorded parent")
 
 
 # -- selection strategies --------------------------------------------------------
@@ -521,9 +504,7 @@ class RepairSession:
                 return None
             self._plans[key] = plan
         for index in range(plan.cursor, len(plan.ranked)):
-            cand = substitute_variables(
-                ingredient.subtree, dict(zip(plan.names, plan.ranked[index]))
-            )
+            cand = substitute_variables(ingredient, dict(zip(plan.names, plan.ranked[index])))
             printed = print_tree(cand)
             if self.cache.check_and_add(point.node_id, op.name, printed):
                 plan.cursor = index + 1
@@ -570,51 +551,52 @@ class RepairSession:
         The variant copies only the path from each edited node up to its
         function root and shares every other node with the session
         project, which is never modified (`operators.apply_edits`).  A
-        variant of one edit whose statement still declares what it did is
-        judged by `check_statement` alone (see `_statement_gate`); any
-        other variant gets its edited functions type-checked against the
-        signatures of the whole project.  Either verdict equals that of a
-        full check, because the session project passed it and operators
+        variant of one edit at a session point is judged by
+        `_statement_gate`, which checks only the edited statement's block;
+        any other variant gets its edited functions type-checked against
+        the signatures of the whole project.  Either verdict equals that of
+        a full check, because the session project passed it and operators
         never change a signature or move a node into another function."""
         variant, edited = apply_edits(
             self.project, [(t.operator, t.point.node_id, t.concrete) for t in transformations]
         )
         if len(transformations) == 1 and transformations[0].point.scopes is not None:
-            verdict = self._statement_gate(transformations[0].point, variant)
-            if verdict is not None:
-                return variant if verdict else None
+            return variant if self._statement_gate(transformations[0].point, variant) else None
         try:
             check_project(variant, edited, self.types.signatures)
         except TypeCheckError:
             return None
         return variant
 
-    def _statement_gate(self, point: ModificationPoint, variant: SourceProject) -> Optional[bool]:
-        """Type gate of a one-edit variant, or None when it cannot decide.
+    def _statement_gate(self, point: ModificationPoint, variant: SourceProject) -> bool:
+        """Type gate of a one-edit variant: True when it passes.
 
-        S is the statement that holds the point and S' what stands in its
-        place in the variant (nothing when it was removed).  S' is checked
-        in the scope stack before S.  If it passes and declares what S
-        declared, every other statement of the project is checked in the
-        same scopes as in the session project, which passed: the variant
-        passes.  If the declarations differ, a later statement may see
-        another scope, so only the function check can tell."""
+        S is the statement that holds the point.  What now stands in S's
+        slot (nothing when S was removed) is checked in the scope stack
+        before S.  Only when the innermost scope it leaves differs from the
+        one S left (`point.scopes[-1]` plus S's own declaration) are the
+        later statements of S's block checked, in the scope it leaves.
+        Every other statement of the project sees the same scopes as in
+        the session project, which passed, so the verdict is that of a
+        full check."""
         stmt = self.project.enclosing_statement(point.node_id)
-        standing = _standing_in(self.project, variant, stmt)
+        holder_id = self.project.parents[stmt.node_id]
+        before = self.project.nodes[holder_id].children
+        now = variant.nodes[holder_id].children
+        index = next(i for i, child in enumerate(before) if child is stmt)
+        slot = now[index:index + 1] if len(now) == len(before) else []
+        stmt_leaves = point.scopes[-1]
+        if stmt.kind == "var-decl":
+            stmt_leaves = {**stmt_leaves, stmt.name: self.types.type_of(stmt.node_id)}
+        ret = self.project.functions[point.function][1].ret
         try:
-            declared = None if standing is None else check_statement(
-                standing,
-                point.scopes,
-                self.project.functions[point.function][1].ret,
-                self.types.signatures,
-            )
+            leaves = check_statements(slot, point.scopes, ret, self.types.signatures)
+            if leaves != stmt_leaves:
+                check_statements(now[index + len(slot):], [*point.scopes[:-1], leaves],
+                                 ret, self.types.signatures)
         except TypeCheckError:
             return False
-        if stmt.kind == "var-decl":
-            before = (stmt.name, self.types.type_of(stmt.node_id))
-        else:
-            before = None
-        return True if declared == before else None
+        return True
 
     def _validate(self, variant: ProgramVariant, iteration: int) -> Optional[int]:
         """Materialize + validate a variant; returns its fitness, or None

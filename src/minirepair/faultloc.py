@@ -113,12 +113,8 @@ def run_test(project: SourceProject, test: TestCase, step_budget: int) -> TestRe
     return TestResult(test, trace.covered, verdict(test, trace), trace)
 
 
-def run_suite(
-    project: SourceProject,
-    suite: Sequence[TestCase],
-    step_budget: int = DEFAULT_STEP_BUDGET,
-) -> SpectrumMatrix:
-    """Execute the whole suite and assemble the coverage spectrum."""
+def check_suite(suite: Sequence[TestCase]) -> None:
+    """Raise SuiteError for an empty suite or a repeated test name."""
     if not suite:
         raise SuiteError("test suite is empty")
     seen = set()
@@ -126,6 +122,15 @@ def run_suite(
         if test.name in seen:
             raise SuiteError(f"duplicate test name: {test.name}")
         seen.add(test.name)
+
+
+def run_suite(
+    project: SourceProject,
+    suite: Sequence[TestCase],
+    step_budget: int = DEFAULT_STEP_BUDGET,
+) -> SpectrumMatrix:
+    """Execute the whole suite and assemble the coverage spectrum."""
+    check_suite(suite)
     results = [run_test(project, test, step_budget) for test in suite]
     return SpectrumMatrix.from_results(results)
 
@@ -218,6 +223,7 @@ def suite_from_json(doc) -> list[TestCase]:
                 TestCase(entry["name"], entry["entry"], args,
                          expect=_value_from_json(entry["expect"], where))
             )
+    check_suite(suite)
     return suite
 
 

@@ -27,7 +27,7 @@ from minirepair.config import SCOPES
 from minirepair.lang.ast import EXPRESSION_KINDS, Node, SourceProject, Type, pre_order
 from minirepair.lang.lexer import tokenize
 from minirepair.lang.printer import print_tree
-from minirepair.lang.types import ProjectTypes, free_variables
+from minirepair.lang.types import ProjectTypes, free_refs, free_variables
 from minirepair.rng import SplitMix64
 
 # transformation strategies that enumerate substitutions in a fixed rank order
@@ -58,6 +58,11 @@ class Ingredient:
     def ref_names(self) -> tuple[str, ...]:
         """Names of the variable references in the subtree, in pre-order."""
         return tuple(n.name for n in pre_order(self.subtree) if n.kind == "var-ref")
+
+    @cached_property
+    def free_refs(self) -> tuple[Node, ...]:
+        """The subtree's var-refs that no `let` inside it binds, in pre-order."""
+        return tuple(free_refs(self.subtree))
 
 
 @dataclass
@@ -349,30 +354,20 @@ def select_ingredient(
 # -- transformation --------------------------------------------------------------
 
 
-def substitute_variables(node: Node, mapping: dict[str, str]) -> Node:
-    """Clone with free occurrences of mapped variables renamed; occurrences
-    bound by a var-decl inside the subtree are left alone."""
+def substitute_variables(ingredient: Ingredient, mapping: dict[str, str]) -> Node:
+    """Clone of the ingredient's subtree with its free references to mapped
+    variables renamed; references bound by a `let` inside the subtree are
+    left alone."""
+    renamed = {id(ref): mapping[ref.name] for ref in ingredient.free_refs if ref.name in mapping}
 
-    def walk(n: Node, bound: frozenset[str]) -> Node:
-        if n.kind == "var-ref":
-            clone = n.copy_node([])
-            if n.name in mapping and n.name not in bound:
-                clone.name = mapping[n.name]
-            return clone
-        if n.kind == "block":
-            children = []
-            names: set[str] = set()
-            for stmt in n.children:
-                inner = frozenset(bound | names)
-                if stmt.kind == "var-decl":
-                    children.append(stmt.copy_node([walk(stmt.children[0], inner)]))
-                    names.add(stmt.name)
-                else:
-                    children.append(walk(stmt, inner))
-            return n.copy_node(children)
-        return n.copy_node([walk(child, bound) for child in n.children])
+    def copy(n: Node) -> Node:
+        dup = n.copy_node([copy(child) for child in n.children])
+        name = renamed.get(id(n))
+        if name is not None:
+            dup.name = name
+        return dup
 
-    return walk(node, frozenset())
+    return copy(ingredient.subtree)
 
 
 def out_of_scope_vars(ingredient: Ingredient, env: dict[str, Type]) -> list[tuple[str, Type]]:
@@ -455,11 +450,11 @@ def transform_ingredient(
             if not candidates:
                 return []
             mapping[name] = rng.choice(candidates)
-        return [substitute_variables(ingredient.subtree, mapping)]
+        return [substitute_variables(ingredient, mapping)]
 
     names = [name for name, _ in out_vars]
     return [
-        substitute_variables(ingredient.subtree, dict(zip(names, combo)))
+        substitute_variables(ingredient, dict(zip(names, combo)))
         for combo in ranked_substitutions(out_vars, env, strategy, name_model)
     ]
 

@@ -198,32 +198,20 @@ class SourceProject:
         self.analysis: dict = {}
         self.nodes: dict[int, Node] = {}
         self.parents: dict[int, Optional[int]] = {}
-        self.file_of: dict[int, str] = {}
         self.functions: dict[str, tuple[SourceFile, Node]] = {}
         self.max_id = 0
-        self._assign_ids()
         self.reindex()
 
-    def _assign_ids(self) -> None:
-        counter = 1
-        for sf in self.files:
-            for fn in sf.functions:
-                for node in _pre_order_ordered(fn):
-                    node.node_id = counter
-                    counter += 1
-        self.max_id = counter - 1
-
     def reindex(self) -> None:
-        """Rebuild node/parent/file indexes; assigns fresh ids, in project
-        pre-order, to any node with node_id == -1."""
+        """Rebuild the node, parent and function indexes; assigns fresh ids,
+        in project pre-order, to any node with node_id == -1.  A parsed
+        project's nodes all start at -1, so it is numbered from 1."""
         self.nodes.clear()
         self.parents.clear()
-        self.file_of.clear()
         self.functions.clear()
-        nodes, parents, file_of = self.nodes, self.parents, self.file_of
+        nodes, parents = self.nodes, self.parents
         next_id = self.max_id + 1
         for sf in self.files:
-            path = sf.path
             for fn in sf.functions:
                 stack: list[tuple[Node, Optional[int]]] = [(fn, None)]
                 while stack:
@@ -234,7 +222,6 @@ class SourceProject:
                     nid = node.node_id
                     nodes[nid] = node
                     parents[nid] = parent_id
-                    file_of[nid] = path
                     for child in reversed(node.children):
                         stack.append((child, nid))
                 self.functions[fn.name] = (sf, fn)
@@ -288,12 +275,11 @@ class SourceProject:
     def derive(self) -> "SourceProject":
         """Variant shell: shares every tree and `SourceFile` with this
         project, which its edits never modify, and copies only the indexes
-        (the three node dicts are copied at C speed)."""
+        (the two node dicts are copied at C speed)."""
         dup = SourceProject.__new__(SourceProject)
         dup.files = list(self.files)
         dup.nodes = dict(self.nodes)
         dup.parents = dict(self.parents)
-        dup.file_of = dict(self.file_of)
         dup.functions = dict(self.functions)
         dup.max_id = self.max_id
         dup.analysis = {}
@@ -349,8 +335,7 @@ class SourceProject:
             return
         old = {id(child) for child in before}
         current = {id(child) for child in children}
-        path = self.file_of[parent.node_id]
-        nodes, parents, file_of = self.nodes, self.parents, self.file_of
+        nodes, parents = self.nodes, self.parents
         moved = set()
         next_id = self.max_id + 1
         stack = [(child, parent.node_id) for child in reversed(children) if id(child) not in old]
@@ -364,7 +349,6 @@ class SourceProject:
             next_id += 1
             nodes[nid] = node
             parents[nid] = parent_id
-            file_of[nid] = path
             owned.add(nid)
             for child in reversed(node.children):
                 stack.append((child, nid))
@@ -373,7 +357,7 @@ class SourceProject:
         while detached:
             node = detached.pop()
             if node.node_id not in moved:
-                del nodes[node.node_id], parents[node.node_id], file_of[node.node_id]
+                del nodes[node.node_id], parents[node.node_id]
                 detached.extend(node.children)
 
 
@@ -383,12 +367,6 @@ def _index_of(items: list, item) -> int:
         if other is item:
             return i
     raise ValueError("item is not in the list")
-
-
-def _pre_order_ordered(node: Node) -> Iterator[Node]:
-    yield node
-    for child in node.children:
-        yield from _pre_order_ordered(child)
 
 
 def parse_project(files: Sequence[tuple[str, str]]) -> SourceProject:

@@ -328,29 +328,32 @@ def check_project(
     signature or move a node into another function and the unedited
     functions are those of a checked project; so a variant may pass that
     project's checked `signatures`, which are then neither rebuilt nor
-    checked again.  A variant with one edit usually needs only
-    `check_statement`."""
+    checked again.  A variant with one edit needs only `check_statements`
+    on the edited statement's block."""
     return _Checker(project).run(
         None if functions is None else frozenset(functions), signatures
     )
 
 
-def check_statement(
-    stmt: Node,
+def check_statements(
+    stmts: Iterable[Node],
     scopes: Sequence[dict[str, Type]],
     ret: Type | None,
     signatures: dict[str, tuple[tuple[Type, ...], Type | None]],
-) -> tuple[str, Type] | None:
-    """Check one statement in the scope stack `scopes` (see `scope_stack`)
-    of a function returning `ret`, with the project's `signatures`; raises
-    TypeCheckError.  Returns the (name, type) the statement declares into
-    the innermost scope, or None.  `scopes` is not modified."""
+) -> dict[str, Type]:
+    """Check statements in order, resuming in the scope stack `scopes`
+    (see `scope_stack`) of a function returning `ret`, with the project's
+    `signatures`; raises TypeCheckError.  Returns the innermost scope the
+    statements leave: a copy of `scopes[-1]` with their declarations.
+    `scopes` is not modified."""
     checker = _Checker(None)
     checker.types.signatures = signatures
     checker.ret = ret
     innermost = dict(scopes[-1])
-    checker.check_stmt(stmt, [*scopes[:-1], innermost])
-    return (stmt.name, innermost[stmt.name]) if stmt.kind == "var-decl" else None
+    stack = [*scopes[:-1], innermost]
+    for stmt in stmts:
+        checker.check_stmt(stmt, stack)
+    return innermost
 
 
 def scope_stack(project: SourceProject, node_id: int) -> list[dict[str, Type]]:
@@ -358,7 +361,8 @@ def scope_stack(project: SourceProject, node_id: int) -> list[dict[str, Type]]:
     node_id: the parameters, then one scope per enclosing block with the
     declarations that come before the statement in that block (an else-if
     shares the stack of its `if`).  For a var-decl, its own binding is
-    excluded."""
+    excluded.  The checker resumes along the path from the function root:
+    each earlier `let` of an enclosing block is checked into the stack."""
     fn = project.enclosing_function(node_id)
     path = []
     cur = node_id
@@ -367,21 +371,18 @@ def scope_stack(project: SourceProject, node_id: int) -> list[dict[str, Type]]:
         cur = project.parents[cur]
     path.reverse()  # children along the way from fn body down to node_id
 
+    checker = _Checker(project)
+    checker.types.signatures = cached_types(project).signatures
     scopes: list[dict[str, Type]] = [dict(fn.params)]
     node: Node = fn
     for child_id in path:
         if node.kind == "block":
-            scope = {}
+            scopes.append({})
             for stmt in node.children:
                 if stmt.node_id == child_id:
                     break
                 if stmt.kind == "var-decl":
-                    ty = stmt.type_ann
-                    if ty is None:
-                        # recover the declared type from the checked project
-                        ty = _declared_type(project, stmt)
-                    scope[stmt.name] = ty
-            scopes.append(scope)
+                    checker.check_stmt(stmt, scopes)
         node = project.nodes[child_id]
     return scopes
 
@@ -400,14 +401,6 @@ def env_at(project: SourceProject, node_id: int) -> dict[str, Type]:
     return flatten_scopes(scope_stack(project, node_id))
 
 
-def _declared_type(project: SourceProject, decl: Node) -> Type:
-    ty = cached_types(project).type_of(decl.node_id)
-    if ty is None:
-        raise TypeCheckError(project.file_of[decl.node_id], decl.line,
-                             f"no type recorded for declaration of '{decl.name}'")
-    return ty
-
-
 def cached_types(project: SourceProject) -> ProjectTypes:
     """check_project, memoized in the project's analysis memo."""
     types = project.analysis.get("types")
@@ -416,36 +409,33 @@ def cached_types(project: SourceProject) -> ProjectTypes:
     return types
 
 
+def free_refs(node: Node) -> list[Node]:
+    """The var-refs of the subtree, in pre-order, that no `let` inside the
+    subtree binds.  As in the checker, a `let` binds its name for the
+    statements after it in its own block; its initializer does not see it."""
+    refs: list[Node] = []
+
+    def walk(n: Node, bound: frozenset[str]) -> None:
+        if n.kind == "var-ref":
+            if n.name not in bound:
+                refs.append(n)
+        elif n.kind == "block":
+            for stmt in n.children:
+                walk(stmt, bound)
+                if stmt.kind == "var-decl":
+                    bound = bound | {stmt.name}
+        else:
+            for child in n.children:
+                walk(child, bound)
+
+    walk(node, frozenset())
+    return refs
+
+
 def free_variables(node: Node, types: ProjectTypes) -> frozenset[tuple[str, Type]]:
-    """(name, type) pairs referenced in the subtree but not bound inside it.
+    """(name, type) pairs of the subtree's `free_refs`.
 
     Must be called on nodes still attached to their checked project (the
     types map is keyed by node id)."""
-    free: set[tuple[str, Type]] = set()
-
-    def walk(n: Node, bound: tuple[frozenset[str], ...]) -> None:
-        if n.kind == "var-ref":
-            if not any(n.name in scope for scope in bound):
-                ty = types.type_of(n.node_id)
-                if ty is not None:
-                    free.add((n.name, ty))
-            return
-        if n.kind == "block":
-            names: set[str] = set()
-            for stmt in n.children:
-                inner = bound + (frozenset(names),)
-                if stmt.kind == "var-decl":
-                    walk(stmt.children[0], inner)
-                    names.add(stmt.name)
-                else:
-                    walk(stmt, inner)
-            return
-        if n.kind == "var-decl":
-            # a bare declaration outside a block binds nothing upstream
-            walk(n.children[0], bound)
-            return
-        for child in n.children:
-            walk(child, bound)
-
-    walk(node, (frozenset(),))
-    return frozenset(free)
+    found = ((ref.name, types.type_of(ref.node_id)) for ref in free_refs(node))
+    return frozenset(pair for pair in found if pair[1] is not None)

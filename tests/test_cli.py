@@ -261,3 +261,27 @@ def test_unreadable_source_exits_one_without_traceback(tmp_path, capsys, command
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "extra.mini" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "tests_json,message",
+    [("[]", "test suite is empty"),
+     (json.dumps([{"name": "t", "entry": "f", "args": [1], "expect": 1},
+                  {"name": "t", "entry": "f", "args": [2], "expect": 2}]),
+      "duplicate test name: t")],
+    ids=["empty", "duplicate-name"],
+)
+def test_bad_suite_exits_one_without_traceback(tmp_path, capsys, tests_json, message):
+    project_dir = tmp_path / "bad-suite"
+    (project_dir / "src").mkdir(parents=True)
+    (project_dir / "src" / "main.mini").write_text(
+        "fn f(x: int) -> int {\n    return x + 1;\n}\n"
+    )
+    (project_dir / "tests.json").write_text(tests_json)
+    code = run_cli("repair", str(project_dir), "--mode", "jmutrepair",
+                   "--out", str(tmp_path / "out"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

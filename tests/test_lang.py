@@ -97,6 +97,27 @@ def test_files_ordered_lexicographically():
     assert first_fn.node_id == 1
 
 
+def test_ids_of_a_two_file_project_follow_recursive_pre_order():
+    project = parse_project(
+        [("lib/util.mini", "fn twice(v: int) -> int {\n    let w = v * 2;\n    return w;\n}\n"),
+         ("main.mini", "fn f(x: int) -> int {\n    if (x > 0) {\n        return twice(x);\n"
+                       "    } else {\n        return -x;\n    }\n}\n\nfn g() {\n}\n")]
+    )
+    numbered = []
+
+    def number(node):
+        numbered.append(node)
+        for child in node.children:
+            number(child)
+
+    for sf in project.files:
+        for fn in sf.functions:
+            number(fn)
+    assert [n.node_id for n in numbered] == list(range(1, len(numbered) + 1))
+    assert all(project.nodes[i + 1] is n for i, n in enumerate(numbered))
+    assert len(project.nodes) == project.max_id == len(numbered)
+
+
 # -- printing ----------------------------------------------------------------
 
 
