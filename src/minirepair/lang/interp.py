@@ -13,27 +13,34 @@ Semantics notes:
   - arrays are reference values (the only aliasing in the language);
   - falling off the end of a non-void function is `missing-return`.
 
-A loop that provably never ends is stopped at its head with the trace the
-step loop would give (see `_LoopCut`).
+A loop that provably runs into the step budget is stopped at its head
+with the trace the step loop would give (see `_LoopCut`): one whose head
+state repeats, or a counting loop whose guard holds until the budget runs
+out.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from minirepair.lang.ast import Node, SourceProject, Type
+from minirepair.lang.ast import RELATIONAL_OPS, Node, SourceProject, Type
 
 _MIN64 = -(1 << 63)
+_MAX64 = (1 << 63) - 1
 _WRAP = 1 << 64
 
 MAX_CALL_DEPTH = 200
 DEFAULT_STEP_BUDGET = 1_000_000
 
-# iterations a loop runs before it starts checking for a repeated head state
+# iterations a loop runs before the loop cuts start (see `_LoopCut`)
 _CUT_AFTER_ITERATIONS = 8
 # operators whose operands decide a step count or a runtime error
 _GUARDED_OPS = frozenset({"&&", "||", "/", "%"})
+# operators that never fail on ints: they wrap
+_LINEAR_OPS = frozenset({"+", "-", "*"})
+_ORDERS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 class Unit:
@@ -119,8 +126,40 @@ def _runtime_matches(value, ty: Type) -> bool:
     return False
 
 
-def _loop_names(loop: Node) -> tuple[set[str], set[str], set[str], bool]:
-    """Static facts about a `while` loop: (relevant, assigned, used, mutates).
+class _Counting(NamedTuple):
+    """A loop whose guard compares two linear counters (see `_outlasts`).
+
+    sides: the guard's operands, each (node, sign, increment): the node is
+      an int literal, a variable or `len(variable)`; a counter moves by
+      sign * increment per iteration (increment: an int literal or a
+      variable the loop does not assign), and sign is 0 for a constant;
+    names: the names the body reads or assigns;
+    period: the steps of one iteration: the guard, the body block, and
+      each statement with its value (an assignment's target is not
+      evaluated).
+    """
+
+    op: str
+    sides: tuple[tuple[Node, int, Optional[Node]], ...]
+    names: frozenset[str]
+    period: int
+
+
+def _linear(node: Node) -> bool:
+    """Whether `node` is a node of straight-line int arithmetic: an int
+    literal, a variable, unary `-`, binary `+ - *`, or an assignment to a
+    variable."""
+    kind = node.kind
+    if kind == "literal":
+        return type(node.value) is int
+    if kind in ("unary-op", "binary-op"):
+        return node.op in _LINEAR_OPS
+    return kind == "var-ref" or (kind == "assign" and node.children[0].kind == "var-ref")
+
+
+def _loop_facts(loop: Node) -> tuple[set[str], set[str], set[str], bool, Optional[_Counting]]:
+    """Static facts about a `while` loop, from one walk of it:
+    (relevant, assigned, used, mutates, counting).
 
     relevant: the names that can decide a branch, a step count, a callee's
       run or a runtime error (a backward slice, Weiser 1981): the names in
@@ -131,17 +170,22 @@ def _loop_names(loop: Node) -> tuple[set[str], set[str], set[str], bool]:
     assigned: names that are assigned or declared in the loop;
     used: names read or assigned in the loop;
     mutates: whether the loop can write into an array (an element
-      assignment, or a call of a program function).
+      assignment, or a call of a program function);
+    counting: the loop as a counting loop, or None.
     """
     relevant: set[str] = set()
     assigned: set[str] = set()
     flows: list[tuple[str, set[str]]] = []
     mutates = False
+    size = 0  # nodes below the loop
+    nonlinear = 0  # of those, nodes outside straight-line int arithmetic
 
     def walk(node: Node) -> set[str]:
-        nonlocal mutates
+        nonlocal mutates, size, nonlinear
         below = [walk(child) for child in node.children]
         names = set().union(*below)
+        size += 1
+        nonlinear += not _linear(node)
         kind = node.kind
         if kind == "var-ref":
             names.add(node.name)
@@ -165,7 +209,10 @@ def _loop_names(loop: Node) -> tuple[set[str], set[str], set[str], bool]:
             flows.append((node.name, names))
         return names
 
-    used = walk(loop)
+    guard, body = loop.children
+    guard_names = walk(guard)
+    body_names = walk(body)
+    relevant.update(guard_names)
     grown = True
     while grown:
         grown = False
@@ -173,7 +220,119 @@ def _loop_names(loop: Node) -> tuple[set[str], set[str], set[str], bool]:
             if name in relevant and not sources <= relevant:
                 relevant |= sources
                 grown = True
-    return relevant, assigned, used, mutates
+    counting = None
+    # a counting loop's only nodes outside straight-line int arithmetic are
+    # its body block, its guard comparison and the guard's `len` calls
+    if nonlinear == 2 + sum(side.kind == "call" for side in guard.children):
+        counting = _counting(loop, assigned, frozenset(body_names), size)
+    return relevant, assigned, guard_names | body_names, mutates, counting
+
+
+def _guard_side(node: Node, body_names: frozenset[str]) -> bool:
+    kind = node.kind
+    if kind == "call":
+        return (
+            node.name == "len" and len(node.children) == 1
+            and node.children[0].kind == "var-ref" and node.children[0].name not in body_names
+        )
+    return kind == "var-ref" or (kind == "literal" and type(node.value) is int)
+
+
+def _counter_step(name: str, body: Node, assigned: set[str]) -> Optional[tuple[int, Node]]:
+    """(sign, increment) of the one `x = x + c`, `x = c + x` or `x = x - c`
+    that assigns counter `name`, or None."""
+    values = [stmt.children[1] for stmt in body.children if stmt.children[0].name == name]
+    if len(values) != 1 or values[0].kind != "binary-op" or values[0].op not in ("+", "-"):
+        return None
+    value = values[0]
+    left, right = value.children
+    if value.op == "+" and right.kind == "var-ref" and right.name == name:
+        left, right = right, left
+    if left.kind != "var-ref" or left.name != name:
+        return None
+    if right.kind == "literal" or (right.kind == "var-ref" and right.name not in assigned):
+        return (1 if value.op == "+" else -1, right)
+    return None
+
+
+def _counting(loop: Node, assigned: set[str], body_names: frozenset[str], size: int):
+    """The loop as a `_Counting`, or None.  The caller has found that the
+    loop's only nodes outside straight-line int arithmetic are its body
+    block, its guard and the guard's calls, so the body is a list of
+    assignments `x = e` to variables."""
+    guard, body = loop.children
+    if guard.kind != "binary-op" or guard.op not in RELATIONAL_OPS:
+        return None
+    left, right = guard.children
+    if not (_guard_side(left, body_names) and _guard_side(right, body_names)):
+        return None
+    same = left.kind == right.kind == "var-ref" and left.name == right.name
+    sides = []
+    for side in (left, right):
+        if side.kind == "var-ref" and side.name in assigned and not same:
+            step = _counter_step(side.name, body, assigned)
+            if step is None:
+                return None
+            sides.append((side, *step))
+        else:
+            sides.append((side, 0, None))
+    return _Counting(guard.op, tuple(sides), body_names, size - len(body.children))
+
+
+def _lookup(scopes: list[dict], name: str):
+    for scope in reversed(scopes):
+        if name in scope:
+            return scope[name]
+    return None  # unbound
+
+
+def _operand(node: Node, scopes: list[dict]):
+    """The value of a guard side or an increment at the loop head."""
+    if node.kind == "literal":
+        return node.value
+    if node.kind == "var-ref":
+        return _lookup(scopes, node.name)
+    container = _lookup(scopes, node.children[0].name)
+    return len(container) if type(container) in (list, str) else None
+
+
+def _outlasts(counting: _Counting, scopes: list[dict], remaining: int) -> bool:
+    """Whether the guard of a counting loop holds at every head the run
+    reaches within `remaining` steps: a recurrent set (Gupta, Henzinger,
+    Majumdar, Rybalchenko & Xu, POPL 2008).
+
+    With every name of the body an int (`bool` is not one), each iteration
+    takes `period` steps and raises no error, since int `+ - *` wraps.
+    The guard's k-th evaluation from here starts after k * period steps,
+    so only k <= last can be reached.  There each side is v + k * d as
+    long as no counter wraps: a counter at the head already holds a
+    wrapped value, so v + last * d must lie in the 64-bit range too.  The
+    difference of the sides is then linear in k, so an ordering that holds
+    at k = 0 and at k = last holds at every k between.
+    """
+    if any(type(_lookup(scopes, name)) is not int for name in counting.names):
+        return False
+    last = remaining // counting.period
+    ends = []
+    for side, sign, increment in counting.sides:
+        value = _operand(side, scopes)
+        if type(value) is not int:
+            return False
+        step = sign * _operand(increment, scopes) if sign else 0
+        if not _MIN64 <= value + last * step <= _MAX64:
+            return False
+        ends.append((value, step))
+    (a, da), (b, db) = ends
+    start, slope = a - b, da - db
+    if counting.op == "==":
+        return start == 0 and (slope == 0 or last == 0)
+    if counting.op == "!=":
+        if slope == 0:
+            return start != 0
+        # no whole k in [0, last] with start + k * slope == 0
+        return start % slope != 0 or not 0 <= -start // slope <= last
+    holds = _ORDERS[counting.op]
+    return holds(start, 0) and holds(start + last * slope, 0)
 
 
 def _encode(value, seen: dict):
@@ -197,17 +356,23 @@ def _encode_arrays(arrays: list) -> tuple:
 
 
 class _LoopCut:
-    """Brent's cycle detection (BIT 1980) over the states of one loop
-    execution at its head.
+    """The two exact cuts of one loop execution, made at its head once it
+    has run `_CUT_AFTER_ITERATIONS` iterations.  Either one means that the
+    loop would run into the step budget, and that every statement it would
+    still cover is covered already.
 
-    The snapshot tracks the names the loop assigns and, if it can write
-    into an array, every name it reads; any other name keeps its value.
-    It holds the value of a relevant name (see `_loop_names`) and every
-    array, deeply encoded, and only the type of any other value.  When two
-    snapshots are equal, every later branch, step count, callee run and
-    runtime error repeats the iterations between them, and none of those
-    iterations ended the run: the loop would run into the step budget, and
-    every statement it would still cover is covered already.
+    `outlasts`, decided once: the loop is a counting loop whose guard
+    provably holds until the budget runs out (see `_outlasts`).  Its body
+    is straight-line, so the iterations already run covered all of it.
+
+    `repeats`, asked at every later head: Brent's cycle detection (BIT
+    1980) over the states of the loop at its head.  The snapshot tracks the
+    names the loop assigns and, if it can write into an array, every name
+    it reads; any other name keeps its value.  It holds the value of a
+    relevant name (see `_loop_facts`) and every array, deeply encoded, and
+    only the type of any other value.  When two snapshots are equal, every
+    later branch, step count, callee run and runtime error repeats the
+    iterations between them, and none of those iterations ended the run.
 
     A snapshot is kept in two parts: a shape (each tracked name's type and
     its value, or an array's length) and the deep encoding of the arrays,
@@ -215,10 +380,11 @@ class _LoopCut:
     progress in a counter thus never pays for encoding its arrays.
     """
 
-    __slots__ = ("slots", "saved_shape", "saved_arrays", "power", "count")
+    __slots__ = ("outlasts", "slots", "saved_shape", "saved_arrays", "power", "count")
 
-    def __init__(self, loop: Node, scopes: list[dict]):
-        relevant, assigned, used, mutates = _loop_names(loop)
+    def __init__(self, loop: Node, scopes: list[dict], remaining: int):
+        relevant, assigned, used, mutates, counting = _loop_facts(loop)
+        self.outlasts = counting is not None and _outlasts(counting, scopes, remaining)
         tracked = used | assigned if mutates else assigned
         # the scopes seen at the loop head gain no names while it runs, so
         # each tracked name stays in one scope, and an unbound one unbound
@@ -322,9 +488,9 @@ class _Run:
                     continue
                 try:
                     if cut is None:
-                        cut = _LoopCut(stmt, scopes)
-                    if cut.repeats():
-                        # the loop never ends: stop as the step loop would
+                        cut = _LoopCut(stmt, scopes, self.budget - self.steps)
+                    if cut.outlasts or cut.repeats():
+                        # the loop runs into the budget: stop as the step loop would
                         self.steps = self.budget
                         raise _Timeout()
                 except RecursionError:
@@ -434,6 +600,8 @@ class _Run:
         )
         if not numeric and not (isinstance(a, str) and isinstance(b, str)):
             raise _RuntimeFault("type-error", node)
+        if numeric and type(a) is not type(b):
+            a, b = float(a), float(b)  # as `==` and arithmetic promote
         if op == "<":
             return a < b
         if op == "<=":

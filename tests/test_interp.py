@@ -1,6 +1,9 @@
 """Interpreter semantics, coverage soundness, and determinism."""
 
+import math
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from minirepair.lang import UNIT, execute, parse_project, pre_order
 from minirepair.lang.interp import MAX_CALL_DEPTH
@@ -94,6 +97,37 @@ def test_int64_wraparound():
         "fn main(x: int) -> int { return x + 1; }", "main", [(1 << 63) - 1]
     )
     assert trace.outcome.value == -(1 << 63)
+
+
+MIN64, MAX64 = -(1 << 63), (1 << 63) - 1
+NEAR_INTS = st.builds(
+    lambda centre, offset: min(max(centre + offset, MIN64), MAX64),
+    st.sampled_from([0, 1 << 53, -(1 << 53), MAX64, MIN64]),
+    st.integers(-4, 4),
+)
+NEAR_FLOATS = st.one_of(
+    NEAR_INTS.map(float),
+    st.builds(lambda n, up: math.nextafter(float(n), math.inf if up else -math.inf),
+              NEAR_INTS, st.booleans()),
+    st.floats(allow_nan=False),
+)
+TRICHOTOMY = """fn f(a: int, b: float) -> [bool] {
+    return [a < b, a == b, a > b, a <= b, a >= b, b < a, b == a, b > a];
+}
+"""
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=NEAR_INTS, b=NEAR_FLOATS)
+@example(a=(1 << 53) + 1, b=float(1 << 53))
+def test_int_float_ordering_agrees_with_equality(a, b):
+    """Mixed int/float operands are promoted to float by `<` as by `==`, so
+    exactly one of `<`, `==` and `>` holds, from either side."""
+    trace = run(TRICHOTOMY, "f", [a, b])
+    lt, eq, gt, le, ge, rlt, req, rgt = trace.outcome.value
+    assert [lt, eq, gt].count(True) == 1
+    assert (le, ge) == (lt or eq, gt or eq)
+    assert (rlt, req, rgt) == (gt, eq, lt)
 
 
 def test_arrays_are_references():

@@ -1,11 +1,13 @@
-"""The loop cut against the step loop.
+"""The loop cuts against the step loop.
 
-A `while` loop whose head state repeats can never end, so the interpreter
-stops it at once with the trace the step loop would give: `timeout`, steps
-equal to the budget and the same covered set.  The oracle here is the same
-interpreter with the cut switched off: its iteration threshold is patched
-so high that no loop ever reaches it.  Every comparison is of the whole
-`ExecutionTrace` (covered, outcome, steps).
+A `while` loop whose head state repeats, or a counting loop whose guard
+provably holds until the step budget runs out, would run into the budget,
+so the interpreter stops it at once with the trace the step loop would
+give: `timeout`, steps equal to the budget and the same covered set.  The
+oracle here is the same interpreter with both cuts switched off: their
+iteration threshold is patched so high that no loop ever reaches it.
+Every comparison is of the whole `ExecutionTrace` (covered, outcome,
+steps).
 """
 
 import string
@@ -18,7 +20,7 @@ from minirepair import faultloc
 from minirepair.engine import navigate
 from minirepair.lang import execute, parse_project
 from minirepair.lang import interp
-from minirepair.presets import config_from_preset
+from minirepair.presets import PRESET_NAMES, config_from_preset
 
 from conftest import corpus_bug_names, load_bug, nested
 
@@ -66,11 +68,29 @@ def test_corpus_suites_match_the_step_loop(name):
         assert cut == full, test.name
 
 
-@pytest.mark.parametrize("preset", ["jgenprog", "jkali", "tibra"])
+def proofs(monkeypatch) -> list:
+    """Spy on the counting-loop proof: the list gains one entry per proof
+    that cut a loop."""
+    fired = []
+    outlasts = interp._outlasts
+
+    def spy(counting, scopes, remaining):
+        holds = outlasts(counting, scopes, remaining)
+        if holds:
+            fired.append(counting)
+        return holds
+
+    monkeypatch.setattr(interp, "_outlasts", spy)
+    return fired
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_validated_variants_match_the_step_loop(preset, monkeypatch):
-    """Every test run of every variant the preset validates, seeds 1-3."""
+    """Every test run of every variant the preset validates, seeds 1-3;
+    the counting-loop proof cuts some of them for every preset."""
     execute_with_cut = faultloc.execute
     runs, mismatches = [], []
+    fired = proofs(monkeypatch)
 
     def both(project, entry, args, step_budget):
         cut = execute_with_cut(project, entry, args, step_budget)
@@ -91,6 +111,7 @@ def test_validated_variants_match_the_step_loop(preset, monkeypatch):
             navigate(project, suite, config)
     assert not mismatches[:3]
     assert runs.count("timeout") > 0
+    assert fired
 
 
 # -- hand cases -------------------------------------------------------------------
@@ -473,3 +494,158 @@ fn f(i: int, j: int, k: int, flag: bool, a: [int]) -> int {{
 )
 def test_generated_loops_match_the_step_loop(source, args):
     check(source, "f", list(args), budget=3_000)
+
+
+# -- counting loops ----------------------------------------------------------------
+
+MIN64, MAX64 = -(1 << 63), (1 << 63) - 1
+PROBE = """
+fn probe(n: int) -> int {
+    return 12 / (n - 40);
+}
+"""
+
+# one case per guard shape that runs away in repair variants of the corpus
+RUNAWAY = [
+    pytest.param("s <= s", "s = s * 2 + 1;", [1, 0, 0], id="same-variable"),
+    pytest.param("i >= n", "i = i + 1;", [5, 3, 0], id="i>=n"),
+    pytest.param("n <= i", "i = i + k;", [0, 0, 2], id="n<=i"),
+    pytest.param("s <= i", "i = i + 1; t = t + i * 2;", [3, 0, 3], id="s<=i"),
+    pytest.param("i < lots", "i = i - lots;", [0, 0, 1_000_000], id="i<lots"),
+    pytest.param("i != n", "i = i + 1;", [20, 10, 0], id="i!=n-away"),
+    pytest.param("i != n", "i = 2 + i;", [1, 10, 0], id="i!=n-parity"),
+    pytest.param("c < i", "c = c + 1; i = i + 2;", [4, 0, 1], id="two-counters"),
+    pytest.param("n <= 1", "n = n - 1;", [0, 1, 0], id="n<=1"),
+    pytest.param("i < len(a)", "i = i - 1;", [0, 0, 0], id="len"),
+    pytest.param("i == n", "t = -t + k;", [7, 7, 3], id="equal"),
+]
+
+
+def counting_source(guard: str, body: str) -> str:
+    return PROBE + f"""
+fn f(i: int, n: int, k: int, a: [int], b: bool, x: float) -> int {{
+    let s = i;
+    let t = 1;
+    let c = n;
+    let lots = k;
+    let y = "";
+    let z = "ab";
+    while ({guard}) {{
+        {body}
+    }}
+    return i + t;
+}}
+"""
+
+
+def counting_args(ints, a=(1, 2, 3)):
+    """Arguments i, n, k, a, b = true, x = 0.5 of `counting_source`."""
+    return [*ints, list(a), True, 0.5]
+
+
+@pytest.mark.parametrize("guard,body,ints", RUNAWAY)
+def test_runaway_counters_stop_at_the_loop_head(guard, body, ints, monkeypatch):
+    fired = proofs(monkeypatch)
+    source = counting_source(guard, body)
+    args = counting_args(ints)
+    trace = check(source, "f", args, budget=100_000)
+    assert trace.outcome.status == "timeout" and trace.steps == 100_000
+    assert len(fired) == 1
+    assert steps_taken(source, "f", args, 100_000) < 300
+
+
+# loops the proof must not cut: each ends within the budget, or runs away
+# in a shape the proof does not take ("timeout")
+NEAR_MISSES = [
+    pytest.param("i >= n", "i = i + 1;", [MAX64 - 40, 0, 0], "normal", id="wraps-up"),
+    pytest.param("n >= i", "i = i - 1;", [MIN64 + 40, 0, 0], "normal", id="wraps-down"),
+    pytest.param("i >= n", "i = i + k;", [0, 0, MAX64 // 30], "normal", id="wraps-by-variable"),
+    pytest.param("i < n", "i = i + 1;", [0, 100, 0], "normal", id="reaches-bound"),
+    pytest.param("n <= i", "i = i - k;", [500, 0, 7], "normal", id="reaches-bound-down"),
+    pytest.param("i != n", "i = i + 3;", [0, 60, 0], "normal", id="!=-reaches-bound"),
+    pytest.param("n != i", "i = i - k;", [90, 0, 2], "normal", id="!=-reaches-bound-down"),
+    pytest.param("i < n", "i = i - 1; i = i + 2;", [0, 30, 0], "normal", id="assigned-twice"),
+    pytest.param("i < n", "i = i + 2; i = i - 1;", [0, 30, 0], "normal", id="assigned-twice-rev"),
+    pytest.param("i <= n", "i = i * 2;", [-1, -1, 0], "normal", id="multiplied"),
+    pytest.param("i < n", "i = i + x;", [0, 10, 0], "normal", id="float-counter"),
+    pytest.param("i >= n", "i = i + x;", [0, 0, 0], "timeout", id="float-runaway"),
+    pytest.param("i >= n", "t = b; i = i + 1;", [0, 0, 0], "timeout", id="bool-copy"),
+    pytest.param("i >= n", "i = i + 1; t = 100 / (i - 40);", [0, 0, 0], "error", id="division"),
+    pytest.param("i >= n", "i = i + 1; t = probe(i);", [0, 0, 0], "error", id="call"),
+    pytest.param("i >= n", "i = i + 1; t = a[i];", [0, 0, 0], "error", id="index"),
+    pytest.param("i >= n", "i = i + 1; let d = 100 / (i - 40);", [0, 0, 0], "error", id="let"),
+    pytest.param("i > len(y)", "y = y + z; i = i + 1;", [100, 0, 0], "normal", id="len-of-assigned"),
+]
+
+
+@pytest.mark.parametrize("guard,body,ints,status", NEAR_MISSES)
+def test_near_misses_are_not_cut(guard, body, ints, status, monkeypatch):
+    fired = proofs(monkeypatch)
+    trace = check(counting_source(guard, body), "f", counting_args(ints, a=range(30)))
+    assert trace.outcome.status == status
+    assert not fired
+
+
+def test_the_proof_takes_no_bool(monkeypatch):
+    """Checked at the first head, `s` already holds a bool, and the next
+    guard evaluation is a type error."""
+    monkeypatch.setattr(interp, "_CUT_AFTER_ITERATIONS", 0)
+    source = counting_source("s <= s", "s = b;")
+    trace = check(source, "f", counting_args([0, 0, 0]))
+    assert trace.outcome.error_kind == "type-error"
+
+
+GUARD_OPERANDS = ("i", "j", "n", "0", "3", "len(a)")
+INCREMENTS = ("1", "1", "2", "n", "4611686018427387904")
+EXTRA_STATEMENTS = (
+    "t = t + i * 2;", "t = -t - j;", "i = i - 3;", "j = j + 3;", "t = i / 3;",
+    "t = a[0];", "let d = 1;", "t = b;", "t = x;", "i = i * 2;",
+)
+NEAR_EDGES = st.builds(
+    lambda centre, offset: min(max(centre + offset, MIN64), MAX64),
+    st.sampled_from([0, MAX64, MIN64]),
+    st.integers(-80, 80),
+)
+
+
+@st.composite
+def counting_loops(draw):
+    """Loops shaped like runaway counters: a counter on one side of the
+    guard, counters stepping either way by small or huge amounts, and at
+    times one statement that takes the loop out of the proof's shape."""
+    sides = draw(st.permutations([draw(st.sampled_from(["i", "j"])),
+                                  draw(st.sampled_from(GUARD_OPERANDS))]))
+    op = draw(st.sampled_from(["<", "<=", ">", ">=", "==", "!="]))
+    body = []
+    for counter in ("i", "j"):
+        increment = draw(st.sampled_from(INCREMENTS))
+        form = draw(st.sampled_from([0, 1, 2, 3, 3]))
+        if form == 1:
+            body.append(f"{counter} = {counter} + {increment};")
+        elif form == 2:
+            body.append(f"{counter} = {increment} + {counter};")
+        elif form == 3:
+            body.append(f"{counter} = {counter} - {increment};")
+    if draw(st.integers(0, 3)) == 0:
+        body.append(draw(st.sampled_from(EXTRA_STATEMENTS)))
+    body = draw(st.permutations(body)) or ["t = t + 1;"]
+    return PROBE + f"""
+fn f(i: int, j: int, n: int, a: [int], b: bool, x: float) -> int {{
+    let t = 0;
+    while ({sides[0]} {op} {sides[1]}) {{
+        {" ".join(body)}
+    }}
+    return t;
+}}
+"""
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(
+    source=counting_loops(),
+    ints=st.tuples(NEAR_EDGES, NEAR_EDGES, NEAR_EDGES),
+    length=st.integers(0, 3),
+    budget=st.integers(100, 3_000),
+)
+def test_generated_counting_loops_match_the_step_loop(source, ints, length, budget):
+    check(source, "f", [*ints, [0] * length, True, 0.5], budget=budget)
