@@ -12,10 +12,19 @@ check are rejected at generation time and never executed.
 Candidate bookkeeping guarantees no (point, operator, concrete form)
 triple is validated twice in one run, which both prunes the search and
 lets selective runs detect a fully exhausted space and stop early.
+
+Sessions on one project object also share what they learn by running the
+suite: the baseline spectrum and the verdict of every one-edit variant
+(`SourceProject.analysis`).  Where a deep MiniLang recursion hits Python's
+RecursionError depends on the caller's stack, so both are shared only
+between sessions started from the same stack position
+(`stack_position`); a session's outcome is that of a fresh project,
+whichever sessions ran before it.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -305,6 +314,21 @@ def select_operator(
 # -- the repair session -----------------------------------------------------------
 
 
+def stack_position(frame) -> tuple:
+    """Where a call made from `frame` stands on the stack: the (code
+    object, last instruction) of every frame from `frame` to the bottom.
+    Two calls from equal positions start equally deep, so the interpreter's
+    RecursionError fires at the same MiniLang call depth in both."""
+    chain = []
+    while frame is not None:
+        chain.append((frame.f_code, frame.f_lasti))
+        frame = frame.f_back
+    return tuple(chain)
+
+
+REJECTED = -1  # verdict memo value of a variant the type gate rejects
+
+
 @dataclass
 class RepairOutcome:
     patches: list
@@ -350,11 +374,21 @@ class RepairSession:
         self._pool: Optional[IngredientPool] = None
         self._op_counter = 0
         self._start_time = 0.0
+        self._verdicts: Optional[dict] = None  # one-edit verdict memo, set by run()
 
-        matrix = run_suite(project, self.suite, config.step_budget)
+        # the spectrum of the suite, shared by the sessions constructed at
+        # this stack position; run_suite stays one frame below __init__
+        self._suite_key = tuple(map(repr, self.suite))
+        baselines = self._shared("baselines", dict)
+        key = (self._suite_key, config.step_budget, sys.getrecursionlimit(),
+               stack_position(sys._getframe(1)))
+        self.baseline = baselines.get(key)
+        if self.baseline is None:
+            matrix = run_suite(project, self.suite, config.step_budget)
+            self.baseline = baselines[key] = Baseline.from_matrix(matrix)
+        matrix = self.baseline.matrix
         if matrix.total_failing == 0:
             raise NoFailingTests("no failing tests: nothing to repair")
-        self.baseline = Baseline.from_matrix(matrix)
         self.baseline_sources = self._shared("sources", lambda: print_sources(project))
 
         ranked = suspiciousness(matrix, config.formula)
@@ -374,8 +408,9 @@ class RepairSession:
 
     def _shared(self, key, build):
         """The project's analysis under `key`, built on first use by any
-        session.  Sessions only read it: it depends on the project alone,
-        which no session modifies."""
+        session.  It depends on the project alone, which no session
+        modifies; sessions only read it, except that they add entries to
+        the memos of suite runs ("baselines", "verdicts")."""
         analysis = self.project.analysis
         if key not in analysis:
             analysis[key] = build()
@@ -602,7 +637,13 @@ class RepairSession:
         """Materialize + validate a variant; returns its fitness, or None
         when it was rejected by the scope/type gate.  A variant whose exact
         transformation sequence was already validated (possible via
-        crossover recombination) reuses the recorded fitness."""
+        crossover recombination) reuses the recorded fitness.
+
+        The verdict of a one-edit variant is also looked up in, and else
+        added to, the memo that `run` shares with the sessions run from the
+        same stack position; a hit skips the materialization and the suite
+        run and counts the variant exactly as running it would.  Lists of
+        several edits always run."""
         signature = tuple(
             (t.point.node_id, t.operator.name, t.concrete_printed)
             for t in variant.transformations
@@ -614,17 +655,27 @@ class RepairSession:
         self.stats.variants_generated += 1
         for t in variant.transformations:
             self.stats.op_bucket(t.operator.name)["created"] += 1
-        project = self.materialize(variant.transformations)
-        if project is None:
+        memo = self._verdicts if len(signature) == 1 else None
+        verdict = memo.get(signature[0]) if memo is not None else None
+        if verdict is None:
+            project = self.materialize(variant.transformations)
+            if project is None:
+                verdict = REJECTED
+            else:
+                result = validate_variant(project, self.baseline, self.config.step_budget)
+                # fitness and steps packed into one int keep an entry small
+                verdict = result.steps * (len(self.suite) + 1) + fitness(result)
+            if memo is not None:
+                memo[signature[0]] = verdict
+        if verdict == REJECTED:
             self.stats.rejected_typecheck += 1
             self._validated_signatures[signature] = None
             return None
-        result = validate_variant(project, self.baseline, self.config.step_budget)
+        steps, variant.fitness = divmod(verdict, len(self.suite) + 1)
         self.stats.validated += 1
-        self.stats.time_steps += result.steps
+        self.stats.time_steps += steps
         for t in variant.transformations:
             self.stats.op_bucket(t.operator.name)["validated"] += 1
-        variant.fitness = fitness(result)
         self._validated_signatures[signature] = variant.fitness
         if variant.fitness == 0:
             variant.discovery_order = len(self.solutions)
@@ -637,6 +688,16 @@ class RepairSession:
                 self.stats.validations_at_first_patch = self.stats.validated
                 self.stats.iteration_at_first_patch = iteration
         return variant.fitness
+
+    def _verdict_memo(self, caller) -> dict:
+        """The project's one-edit verdicts for this session's suite,
+        baseline order and step budget, at the stack position of `run`'s
+        `caller` and the current recursion limit: what a variant's
+        verdict depends on besides the variant."""
+        failing = tuple(i for i, r in enumerate(self.baseline.matrix.results) if not r.passed)
+        key = (self._suite_key, failing, self.config.step_budget, sys.getrecursionlimit(),
+               stack_position(caller))
+        return self._shared("verdicts", dict).setdefault(key, {})
 
     # -- stop conditions ------------------------------------------------------------
 
@@ -654,16 +715,22 @@ class RepairSession:
 
     def run(self) -> RepairOutcome:
         self._start_time = time.monotonic()
-        if not self.points:
-            self.stats.stop_reason = "no-search-space"
-        else:
-            navigation = self.config.navigation
-            if navigation == "exhaustive":
-                self._run_exhaustive()
-            elif navigation == "selective":
-                self._run_selective()
+        # every navigation calls _validate two frames below run, so the
+        # stack position of run's caller fixes where its suite runs start
+        self._verdicts = self._verdict_memo(sys._getframe(1))
+        try:
+            if not self.points:
+                self.stats.stop_reason = "no-search-space"
             else:
-                self._run_evolutionary()
+                navigation = self.config.navigation
+                if navigation == "exhaustive":
+                    self._run_exhaustive()
+                elif navigation == "selective":
+                    self._run_selective()
+                else:
+                    self._run_evolutionary()
+        finally:
+            self._verdicts = None
         refined = refine_patches(self)
         return RepairOutcome(refined.patches, self.stats, self.config, self.solutions, self)
 

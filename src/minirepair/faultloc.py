@@ -20,6 +20,7 @@ from typing import Sequence
 from minirepair.config import FORMULAS
 from minirepair.lang.ast import SourceProject
 from minirepair.lang.interp import DEFAULT_STEP_BUDGET, UNIT, ExecutionTrace, Unit, execute
+from minirepair.lang.parser import INT64_MAX, INT64_MIN
 
 RUNTIME_ERROR_KINDS = frozenset(
     {"div-by-zero", "index-out-of-bounds", "undefined-variable", "type-error",
@@ -182,7 +183,9 @@ def filter_suspicious(
 def _value_from_json(raw, where: str):
     if raw is None:
         return UNIT
-    if isinstance(raw, bool) or isinstance(raw, (int, float, str)):
+    if isinstance(raw, int) and not INT64_MIN <= raw <= INT64_MAX:
+        raise SuiteError(f"{where}: an int is out of the 64-bit range")
+    if isinstance(raw, (bool, int, float, str)):
         return raw
     if isinstance(raw, list):
         return [_value_from_json(item, where) for item in raw]
@@ -233,6 +236,6 @@ def load_suite(path) -> list[TestCase]:
 
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int of over 4,300 digits
         raise SuiteError(f"{path}: invalid JSON: {exc}") from exc
     return suite_from_json(doc)

@@ -189,7 +189,8 @@ class SourceProject:
 
     `analysis` memoizes what is computed from the unedited project (its
     type table, ingredient pools, similarity index, name model and printed
-    sources), so every repair session on one project object shares it.
+    sources, and what running a suite on it and its one-edit variants
+    gave), so every repair session on one project object shares it.
     Nothing may edit a project once it has entries; a variant starts with
     an empty memo of its own."""
 

@@ -17,6 +17,11 @@ from minirepair.lang.ast import (
 )
 from minirepair.lang.lexer import Token, tokenize
 
+# the range of MiniLang's 64-bit signed int; a literal is never negative,
+# so INT64_MIN is written `-9223372036854775807 - 1`
+INT64_MIN = -(1 << 63)
+INT64_MAX = (1 << 63) - 1
+
 
 class _Parser:
     def __init__(self, path: str, tokens: list[Token]):
@@ -227,7 +232,11 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            return Node("literal", value=int(tok.text), line=tok.line, col=tok.col)
+            digits = tok.text.lstrip("0") or "0"
+            # the length test first: int() refuses strings of over 4,300 digits
+            if len(digits) > len(str(INT64_MAX)) or int(digits) > INT64_MAX:
+                self.error(tok, f"int literal {tok.text} is out of the 64-bit range")
+            return Node("literal", value=int(digits), line=tok.line, col=tok.col)
         if tok.kind == "float":
             self.advance()
             return Node("literal", value=float(tok.text), line=tok.line, col=tok.col)

@@ -50,6 +50,34 @@ def test_parse_error_exits_one(tmp_path):
     assert run_cli("repair", str(project_dir), "--out", str(tmp_path / "out")) == 1
 
 
+@pytest.mark.parametrize("literal", ["9223372036854775808", "1" + "0" * 400],
+                         ids=["2**63", "10**400"])
+def test_int_literal_beyond_64_bits_exits_one(tmp_path, capsys, literal):
+    project_dir = tmp_path / "wide"
+    (project_dir / "src").mkdir(parents=True)
+    (project_dir / "src" / "main.mini").write_text(
+        f"fn f() -> bool {{\n    return {literal} < 1.5;\n}}\n"
+    )
+    (project_dir / "tests.json").write_text(
+        json.dumps([{"name": "t", "entry": "f", "args": [], "expect": True}])
+    )
+    assert run_cli("repair", str(project_dir), "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "64-bit range" in err
+    assert "Traceback" not in err
+
+
+def test_suite_int_beyond_64_bits_exits_one(tmp_path, capsys):
+    project_dir = tmp_path / "wide"
+    (project_dir / "src").mkdir(parents=True)
+    (project_dir / "src" / "main.mini").write_text("fn f(x: int) -> int {\n    return x;\n}\n")
+    (project_dir / "tests.json").write_text(
+        json.dumps([{"name": "t", "entry": "f", "args": [2**63], "expect": 0}])
+    )
+    assert run_cli("repair", str(project_dir), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_zero_second_budget_exits_two_with_valid_report(tmp_path):
     out = tmp_path / "out"
     code = run_cli("repair", str(CORPUS / "abs-sign"), "--mode", "jmutrepair",

@@ -11,6 +11,7 @@ from minirepair.faultloc import (
     SuiteError,
     TestCase,
     filter_suspicious,
+    load_suite,
     ochiai,
     run_suite,
     suite_from_json,
@@ -196,6 +197,37 @@ def test_suite_json_schema():
     ]:
         with pytest.raises(SuiteError):
             suite_from_json([bad])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"name": "a", "entry": "f", "args": [2**63], "expect": 1},
+        {"name": "a", "entry": "f", "args": [[1, -2**63 - 1]], "expect": 1},
+        {"name": "a", "entry": "f", "args": [], "expect": 10**400},
+        {"name": "a", "entry": "f", "args": [], "expect": [[2**63]]},
+        {"name": "a", "entry": "f", "args": [], "expect": 10**5000},
+    ],
+    ids=["arg", "array-arg", "expect", "array-expect", "too-many-digits"],
+)
+def test_suite_ints_beyond_64_bits_are_rejected(entry):
+    with pytest.raises(SuiteError, match="out of the 64-bit range"):
+        suite_from_json([entry])
+
+
+def test_suite_int_of_too_many_digits_is_a_suite_error(tmp_path):
+    path = tmp_path / "tests.json"
+    path.write_text('[{"name": "a", "entry": "f", "args": [1' + "0" * 5000 + '], "expect": 1}]')
+    with pytest.raises(SuiteError, match="invalid JSON"):
+        load_suite(path)
+
+
+def test_suite_ints_at_the_64_bit_bounds_load():
+    suite = suite_from_json(
+        [{"name": "a", "entry": "f", "args": [-2**63, [2**63 - 1]], "expect": 2**63 - 1}]
+    )
+    assert suite[0].args == (-2**63, [2**63 - 1])
+    assert suite[0].expect == 2**63 - 1
 
 
 def test_values_equal_is_type_strict():

@@ -33,6 +33,13 @@ def test_infinite_loop_times_out():
     assert trace.steps == 1000
 
 
+def test_int_literals_reach_both_64_bit_bounds():
+    top = run("fn f() -> int { return 9223372036854775807; }", "f", [])
+    assert top.outcome.value == 2**63 - 1
+    bottom = run("fn f() -> int { return -9223372036854775807 - 1; }", "f", [])
+    assert bottom.outcome.value == -2**63
+
+
 def test_division_by_zero_is_captured():
     trace = run("fn main() -> int { return 1 / 0; }", "main", [])
     assert trace.outcome.status == "error"

@@ -76,6 +76,29 @@ def test_syntax_errors(bad):
         parse_one(bad)
 
 
+def test_int_literal_with_leading_zeros_keeps_its_value():
+    project = parse_one("fn f() -> int { return 0" + "0" * 5000 + "9223372036854775807; }")
+    ret = project.functions["f"][1].children[0].children[0]
+    assert ret.children[0].value == 2**63 - 1
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        # type-checked and returned 2**63 while literals were unbounded
+        "fn f() -> int { let x = 9223372036854775808; return x; }",
+        # beyond the float range: comparing it with a float raised OverflowError
+        "fn f() -> bool { return 1" + "0" * 400 + " < 1.5; }",
+        # more digits than int() converts from a string
+        "fn f() -> int { return 1" + "0" * 5000 + "; }",
+    ],
+    ids=["2**63", "10**400", "10**5000"],
+)
+def test_int_literal_beyond_64_bits_is_a_syntax_error(source):
+    with pytest.raises(MiniSyntaxError, match="out of the 64-bit range"):
+        parse_one(source)
+
+
 def test_node_ids_are_preorder_and_stable():
     src = "fn f(x: int) -> int { return x + 1; }\n"
     a = parse_one(src)
