@@ -141,13 +141,6 @@ def write_report(outcome: RepairOutcome, out_dir: Path) -> None:
         (out_dir / name).write_text(patch.diff_text, encoding="utf-8")
 
 
-def run_repair(project_dir: str, config: RunConfig, out_dir: Path) -> RepairOutcome:
-    project, suite, _ = load_project_dir(project_dir)
-    outcome = navigate(project, suite, config)
-    write_report(outcome, out_dir)
-    return outcome
-
-
 def cmd_repair(args) -> int:
     try:
         project, suite, meta = load_project_dir(args.project_dir)

@@ -40,18 +40,15 @@ from minirepair.faultloc import (
 )
 from minirepair.ingredients import (
     COMPOSITE_EXPRESSION_KINDS,
-    RANKED_TRANSFORMS,
     AttemptCache,
+    Candidates,
     FunctionSimilarity,
     Ingredient,
     IngredientPool,
     build_name_model,
     build_pool,
     mine_templates,
-    out_of_scope_vars,
-    ranked_substitutions,
     select_ingredient,
-    substitute_variables,
     substitution_space_size,
     transform_ingredient,
 )
@@ -109,16 +106,6 @@ class Transformation:
             "operator": self.operator.name,
             "ingredient": self.concrete_printed,
         }
-
-
-@dataclass(slots=True)
-class SubstitutionPlan:
-    """The ranked substitutions of one ingredient entry at one (point,
-    operator), and the cursor past the last one tried there."""
-
-    names: tuple[str, ...]  # the entry's out-of-scope variables
-    ranked: list[tuple[str, ...]]  # replacement names, best first
-    cursor: int = 0
 
 
 @dataclass
@@ -369,8 +356,10 @@ class RepairSession:
         self._variant_counter = 0
         self._exhausted_pairs: set[tuple[int, str]] = set()
         self._validated_signatures: dict[tuple, Optional[int]] = {}
-        self._entry_forms: dict[tuple[int, str, str], set[str]] = {}
-        self._plans: dict[tuple[int, str, str], SubstitutionPlan] = {}
+        # per (point, operator, entry): the entry's candidates there and the
+        # cursor past the last one tried; random-var's distinct forms drawn
+        self._plans: dict[tuple[int, str, str], tuple[Candidates, int]] = {}
+        self._drawn_forms: dict[tuple[int, str, str], set[str]] = {}
         self._pool: Optional[IngredientPool] = None
         self._op_counter = 0
         self._start_time = 0.0
@@ -454,14 +443,16 @@ class RepairSession:
         (counted as not applicable, exhausted or duplicate).
 
         An operator that needs an ingredient takes an entry from the pool
-        and adapts it to the point.  The ranked strategies (name-probability,
-        name-similarity) rank an entry's substitutions once per (point,
-        operator) and keep a cursor: each pick builds candidates from the
-        cursor on until one is new to the attempt cache.  That equals
-        rebuilding the ranked list and scanning it from the top, because
-        the ranking depends only on the entry, the point's scope and the
-        session's name model, every candidate before the cursor is in the
-        cache, and the cache only grows."""
+        and plans its candidates at the point (`transform_ingredient`).
+        The session keeps the plan and a cursor per (point, operator,
+        entry) while the entry is unsealed: each pick builds candidates
+        from the cursor on until one is new to the attempt cache, and a
+        used-up plan seals the entry.  That equals replanning and scanning
+        from the top, because the plan depends only on the entry, the
+        point's scope and the session's name model, every candidate before
+        the cursor is in the cache, and the cache only grows.  random-var
+        is the exception: it draws anew on every pick, so it replans every
+        time, and its entry is used up once every distinct form was drawn."""
         node = self.project.node(point.node_id)
         if not op.applicable(self.project, node):
             self._mark_exhausted(point, op)
@@ -489,79 +480,40 @@ class RepairSession:
             self._mark_exhausted(point, op)
             self.stats.exhausted_selections += 1
             return None
-        if self._ingredient_transform in RANKED_TRANSFORMS:
-            return self._next_ranked_candidate(point, op, ingredient)
-        candidates = transform_ingredient(
-            ingredient, point.env, self._ingredient_transform, rng=self.rng.transform
-        )
+        key = (point.node_id, op.name, ingredient.printed)
+        candidates, cursor = self._plans.pop(key, None) or (self._plan(ingredient, point), 0)
         if not candidates:
             # untransformable here (or vanilla strategy with out-of-scope
             # variables): never try this entry again at this point/op
-            self.cache.check_and_add(point.node_id, op.name, ingredient.printed)
+            self.cache.check_and_add(*key)
             self.stats.not_applicable += 1
             return None
-
-        chosen = None
         random_var = self._ingredient_transform == "random-var"
-        for cand in candidates:
-            printed = print_tree(cand)
+        for cursor in range(cursor, len(candidates)):
+            concrete = candidates[cursor]
+            printed = print_tree(concrete)
             if random_var:
-                self._note_entry_form(point, op, ingredient, printed)
+                self._drawn_forms.setdefault(key, set()).add(printed)
             if self.cache.check_and_add(point.node_id, op.name, printed):
-                chosen = (cand, printed)
                 break
+        else:
+            concrete = None
         if random_var:
-            self._maybe_seal_entry(point, op, ingredient)
-        if chosen is None:
-            if not random_var:
-                self.cache.check_and_add(point.node_id, op.name, ingredient.printed)
+            if len(self._drawn_forms[key]) >= substitution_space_size(ingredient, point.env):
+                self.cache.check_and_add(*key)
+        elif concrete is None:
+            self.cache.check_and_add(*key)  # the plan is used up: seal the entry
+        elif not self.cache.contains(*key):
+            self._plans[key] = (candidates, cursor + 1)
+        if concrete is None:
             self.stats.duplicates += 1
             return None
-        cand, printed = chosen
-        return Transformation(point, op, cand, concrete_printed=printed)
+        return Transformation(point, op, concrete, concrete_printed=printed)
 
-    def _next_ranked_candidate(
-        self, point: ModificationPoint, op: RepairOperator, ingredient: Ingredient
-    ) -> Optional[Transformation]:
-        key = (point.node_id, op.name, ingredient.printed)
-        plan = self._plans.get(key)
-        if plan is None:
-            out_vars = out_of_scope_vars(ingredient, point.env)
-            model = self.name_model() if self._ingredient_transform == "name-probability" else None
-            plan = SubstitutionPlan(
-                tuple(name for name, _ in out_vars),
-                ranked_substitutions(out_vars, point.env, self._ingredient_transform, model),
-            )
-            if not plan.ranked:
-                # some variable has no same-typed name in scope
-                self.cache.check_and_add(*key)
-                self.stats.not_applicable += 1
-                return None
-            self._plans[key] = plan
-        for index in range(plan.cursor, len(plan.ranked)):
-            cand = substitute_variables(ingredient, dict(zip(plan.names, plan.ranked[index])))
-            printed = print_tree(cand)
-            if self.cache.check_and_add(point.node_id, op.name, printed):
-                plan.cursor = index + 1
-                if self.cache.contains(*key):
-                    del self._plans[key]  # sealed: never picked at this point/op again
-                return Transformation(point, op, cand, concrete_printed=printed)
-        del self._plans[key]
-        self.cache.check_and_add(*key)
-        self.stats.duplicates += 1
-        return None
-
-    def _note_entry_form(self, point, op, ingredient: Ingredient, printed: str) -> None:
-        key = (point.node_id, op.name, ingredient.printed)
-        self._entry_forms.setdefault(key, set()).add(printed)
-
-    def _maybe_seal_entry(self, point, op, ingredient: Ingredient) -> None:
-        """random-var draws a fresh substitution on every pick, so an entry
-        is used up once every distinct form has been drawn."""
-        key = (point.node_id, op.name, ingredient.printed)
-        space = substitution_space_size(ingredient, point.env)
-        if space and len(self._entry_forms.get(key, ())) >= space:
-            self.cache.check_and_add(point.node_id, op.name, ingredient.printed)
+    def _plan(self, ingredient: Ingredient, point: ModificationPoint) -> Candidates:
+        model = self.name_model() if self._ingredient_transform == "name-probability" else None
+        return transform_ingredient(ingredient, point.env, self._ingredient_transform,
+                                    rng=self.rng.transform, name_model=model)
 
     def _similarity_if_needed(self):
         if self._ingredient_selection == "similarity":
@@ -784,19 +736,10 @@ class RepairSession:
             return
         pool = self.ingredient_pool()
         for entry in list(pool.entries(point.file, point.module)):
-            candidates = transform_ingredient(
-                entry,
-                point.env,
-                self._ingredient_transform,
-                rng=self.rng.transform,
-                name_model=self.name_model()
-                if self._ingredient_transform == "name-probability"
-                else None,
-            )
-            for cand in candidates:
-                printed = print_tree(cand)
+            for concrete in self._plan(entry, point):
+                printed = print_tree(concrete)
                 if self.cache.check_and_add(point.node_id, op.name, printed):
-                    yield Transformation(point, op, cand, concrete_printed=printed)
+                    yield Transformation(point, op, concrete, concrete_printed=printed)
         self._mark_exhausted(point, op)
 
     def _run_exhaustive(self) -> None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,9 +30,6 @@ from minirepair.lang.lexer import tokenize
 from minirepair.lang.printer import print_tree
 from minirepair.lang.types import ProjectTypes, free_refs, free_variables
 from minirepair.rng import SplitMix64
-
-# transformation strategies that enumerate substitutions in a fixed rank order
-RANKED_TRANSFORMS = ("name-probability", "name-similarity")
 
 # non-atomic expression kinds: the ones worth mining templates from and
 # targeting as expression-granularity modification points
@@ -416,54 +414,57 @@ def ranked_substitutions(
     return combos
 
 
+@dataclass(frozen=True)
+class Candidates(Sequence):
+    """The concrete subtrees an ingredient offers at one point, one per
+    substitution of its out-of-scope variables, each built when read:
+    item i is a clone with `names` renamed to `substitutions[i]`."""
+
+    ingredient: Ingredient
+    names: tuple[str, ...]  # the out-of-scope variables
+    substitutions: list[tuple[str, ...]]  # replacement names, in the order to try
+
+    def __len__(self) -> int:
+        return len(self.substitutions)
+
+    def __getitem__(self, index: int) -> Node:
+        mapping = dict(zip(self.names, self.substitutions[index]))
+        return substitute_variables(self.ingredient, mapping)
+
+
 def transform_ingredient(
     ingredient: Ingredient,
     env: dict[str, Type],
     strategy: str,
     rng: SplitMix64 | None = None,
     name_model: NameFrequencyModel | None = None,
-) -> list[Node]:
-    """Concrete subtrees usable at a point whose scope is `env`.
+) -> Candidates:
+    """The candidates of an ingredient at a point whose scope is `env`: the
+    ingredient itself when no free variable is out of scope, else
 
-    none          : the ingredient itself, or nothing if any free variable
-                    is out of scope (it is discarded, never adapted)
-    random-var    : one clone with every out-of-scope variable replaced by
-                    a uniformly drawn same-typed in-scope variable
+    none          : nothing (the ingredient is discarded, never adapted)
+    random-var    : one substitution, every out-of-scope variable replaced
+                    by a uniformly drawn same-typed in-scope variable (drawn
+                    here, not when read); nothing when some variable has no
+                    same-typed name in scope
     name-probability / name-similarity
-                  : one clone per substitution of ranked_substitutions, in
-                    its order.  The search does not call this for these two
-                    strategies: it keeps each entry's ranking and builds
-                    one clone at a time (RepairSession.create_transformation)
+                  : the substitutions of ranked_substitutions, in its order
     """
     out_vars = out_of_scope_vars(ingredient, env)
-    if strategy == "none":
-        return [] if out_vars else [ingredient.subtree.clone()]
+    substitutions: list[tuple[str, ...]] = []
     if not out_vars:
-        return [ingredient.subtree.clone()]
-
-    if strategy == "random-var":
+        substitutions = [()]
+    elif strategy == "random-var":
         if rng is None:
             raise ValueError("random-var transformation needs an rng stream")
-        mapping = {}
-        for name, ty in out_vars:
-            candidates = _candidate_names(env, ty)
-            if not candidates:
-                return []
-            mapping[name] = rng.choice(candidates)
-        return [substitute_variables(ingredient, mapping)]
-
-    names = [name for name, _ in out_vars]
-    return [
-        substitute_variables(ingredient, dict(zip(names, combo)))
-        for combo in ranked_substitutions(out_vars, env, strategy, name_model)
-    ]
-
-
-def instantiate_template(
-    template: Ingredient,
-    env: dict[str, Type],
-    name_model: NameFrequencyModel,
-) -> list[Node]:
-    """Concrete expressions for a mined template, ranked by the frequency
-    of the variable names filling its placeholders."""
-    return transform_ingredient(template, env, "name-probability", name_model=name_model)
+        drawn = []
+        for _, ty in out_vars:
+            in_scope = _candidate_names(env, ty)
+            if not in_scope:
+                break
+            drawn.append(rng.choice(in_scope))
+        else:
+            substitutions = [tuple(drawn)]
+    elif strategy != "none":
+        substitutions = ranked_substitutions(out_vars, env, strategy, name_model)
+    return Candidates(ingredient, tuple(name for name, _ in out_vars), substitutions)

@@ -22,12 +22,23 @@ from minirepair.lang.lexer import Token, tokenize
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 
+# What one function may nest, so that the parser and every recursive walk
+# over a parsed tree (type checker, printer, interpreter) stay far below
+# Python's recursion limit.  Nesting counts the constructs open at a token:
+# blocks, expressions (each parenthesis, call argument, array element and
+# index opens one), prefix operators, `else if`s and array types; one
+# parenthesis level costs the parser about 14 Python frames.  The height
+# also bounds trees that nest without it, such as a long `a + b + ...`.
+MAX_NESTING = 32
+MAX_TREE_HEIGHT = 64  # nodes on the longest path from a function down
+
 
 class _Parser:
     def __init__(self, path: str, tokens: list[Token]):
         self.path = path
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # constructs open at the current token
 
     # -- token plumbing ----------------------------------------------------
 
@@ -59,6 +70,23 @@ class _Parser:
     def error(self, tok: Token, msg: str):
         raise MiniSyntaxError(self.path, tok.line, msg)
 
+    def enter(self, tok: Token) -> None:
+        """Open a nested construct at `tok`; the caller closes it with
+        `self.depth -= 1`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error(tok, f"nesting deeper than {MAX_NESTING} levels")
+
+    def check_height(self, root: Node) -> None:
+        level = [root]
+        for _ in range(MAX_TREE_HEIGHT):
+            level = [child for node in level for child in node.children]
+            if not level:
+                return
+        raise MiniSyntaxError(
+            self.path, level[0].line, f"syntax tree deeper than {MAX_TREE_HEIGHT} levels"
+        )
+
     # -- grammar -----------------------------------------------------------
 
     def parse_program(self) -> list[Node]:
@@ -84,15 +112,20 @@ class _Parser:
         if self.accept("op", "->"):
             ret = self.parse_type()
         body = self.parse_block()
-        return Node(
+        function = Node(
             "function", [body], name=name, params=params, ret=ret,
             line=start.line, col=start.col,
         )
+        self.check_height(function)
+        return function
 
     def parse_type(self) -> Type:
-        if self.accept("op", "["):
+        tok = self.accept("op", "[")
+        if tok is not None:
+            self.enter(tok)
             inner = self.parse_type()
             self.expect("op", "]")
+            self.depth -= 1
             return array_of(inner)
         tok = self.expect("keyword")
         mapping = {"int": INT, "float": FLOAT, "bool": BOOL, "string": STRING}
@@ -102,10 +135,12 @@ class _Parser:
 
     def parse_block(self) -> Node:
         start = self.expect("op", "{")
+        self.enter(start)
         statements = []
         while not self.check("op", "}"):
             statements.append(self.parse_statement())
         self.expect("op", "}")
+        self.depth -= 1
         return Node("block", statements, line=start.line, col=start.col)
 
     def parse_statement(self) -> Node:
@@ -144,7 +179,9 @@ class _Parser:
         children = [cond, then]
         if self.accept("keyword", "else"):
             if self.check("keyword", "if"):
+                self.enter(self.peek())
                 children.append(self.parse_if())
+                self.depth -= 1
             else:
                 children.append(self.parse_block())
         return Node("if", children, line=start.line, col=start.col)
@@ -185,7 +222,10 @@ class _Parser:
     # -- expressions (precedence climbing) ----------------------------------
 
     def parse_expr(self) -> Node:
-        return self.parse_or()
+        self.enter(self.peek())
+        expr = self.parse_or()
+        self.depth -= 1
+        return expr
 
     def _binary_chain(self, sub, ops: tuple[str, ...]) -> Node:
         left = sub()
@@ -215,7 +255,9 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text in ("-", "!"):
             self.advance()
+            self.enter(tok)
             operand = self.parse_unary()
+            self.depth -= 1
             return Node("unary-op", [operand], op=tok.text, line=tok.line, col=tok.col)
         return self.parse_postfix()
 

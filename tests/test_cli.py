@@ -67,6 +67,53 @@ def test_int_literal_beyond_64_bits_exits_one(tmp_path, capsys, literal):
     assert "Traceback" not in err
 
 
+def write_project(project_dir, source, tests):
+    (project_dir / "src").mkdir(parents=True)
+    (project_dir / "src" / "main.mini").write_text(source)
+    (project_dir / "tests.json").write_text(json.dumps(tests))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        # each of these ended in a RecursionError traceback, two in the
+        # parser and the last in the type checker
+        "fn f(x: int) -> int {\n    return " + "(" * 70 + "x" + ")" * 70 + ";\n}\n",
+        "fn f(x: int) -> int {\n" + "{\n" * 600 + "}\n" * 600 + "    return x;\n}\n",
+        "fn f(x: int) -> int {\n    return " + " + ".join(["x"] * 1500) + ";\n}\n",
+    ],
+    ids=["70-parentheses", "600-blocks", "1500-term-sum"],
+)
+def test_nesting_beyond_the_limit_exits_one(tmp_path, capsys, source):
+    write_project(tmp_path / "deep", source,
+                  [{"name": "t", "entry": "f", "args": [1], "expect": 0}])
+    code = run_cli("repair", str(tmp_path / "deep"), "--mode", "jkali",
+                   "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "deeper than" in err
+    assert "Traceback" not in err
+
+
+def test_nesting_at_the_limit_parses_and_runs(tmp_path, capsys):
+    from minirepair.lang.parser import MAX_NESTING, MAX_TREE_HEIGHT
+
+    # the body block and the return open two constructs; the tree is the
+    # function, block, return, the sum's binary-ops and its last term
+    terms = MAX_TREE_HEIGHT - 3
+    body = "(" * (MAX_NESTING - 2) + " + ".join(["x"] * terms) + ")" * (MAX_NESTING - 2)
+    write_project(tmp_path / "deep", f"fn f(x: int) -> int {{\n    return {body};\n}}\n", [
+        {"name": "sum", "entry": "f", "args": [1], "expect": terms},
+        {"name": "off", "entry": "f", "args": [2], "expect": 0},
+    ])
+    out = tmp_path / "out"
+    code = run_cli("repair", str(tmp_path / "deep"), "--mode", "jkali", "--out", str(out))
+    assert code in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["stats"]["validated"] > 0
+
+
 def test_suite_int_beyond_64_bits_exits_one(tmp_path, capsys):
     project_dir = tmp_path / "wide"
     (project_dir / "src").mkdir(parents=True)

@@ -10,7 +10,6 @@ from minirepair.ingredients import (
     build_name_model,
     build_pool,
     cosine_similarity,
-    instantiate_template,
     lcs_length,
     mine_templates,
     select_ingredient,
@@ -249,7 +248,7 @@ def test_no_free_vars_unchanged_under_all_strategies():
 def test_none_strategy_discards_out_of_scope():
     ing = make_ingredient("fn f(z: int) -> int { let y = z + 1; return y; }",
                           "let y = z + 1;")
-    assert transform_ingredient(ing, {"a": INT}, "none") == []
+    assert len(transform_ingredient(ing, {"a": INT}, "none")) == 0
     kept = transform_ingredient(ing, {"z": INT}, "none")
     assert len(kept) == 1
 
@@ -271,7 +270,7 @@ def test_random_var_replacement_seeded():
 def test_random_var_untransformable():
     ing = make_ingredient("fn f(z: int) -> int { let y = z + 1; return y; }",
                           "let y = z + 1;")
-    assert transform_ingredient(ing, {"s": STRING}, "random-var", rng=SplitMix64(1)) == []
+    assert len(transform_ingredient(ing, {"s": STRING}, "random-var", rng=SplitMix64(1))) == 0
     assert substitution_space_size(ing, {"s": STRING}) == 0
 
 
@@ -349,7 +348,8 @@ def test_template_instantiation_with_single_candidate():
     pool = mine_templates(project, types)
     template = next(e for e in pool.entries_by_key["*"] if e.printed == "len(_string_0)")
     model = build_name_model(project)
-    out = instantiate_template(template, {"source": STRING, "n": INT}, model)
+    out = transform_ingredient(template, {"source": STRING, "n": INT}, "name-probability",
+                               name_model=model)
     assert [print_tree(n) for n in out] == ["len(source)"]
 
 
@@ -364,7 +364,8 @@ def test_template_instantiation_frequency_ranking():
     template = next(e for e in pool.entries_by_key["*"] if e.printed == "_int_0 + _int_1")
     model = build_name_model(project)
     assert model.frequency("hot") > model.frequency("cold")
-    out = instantiate_template(template, {"hot": INT, "cold": INT}, model)
+    out = transform_ingredient(template, {"hot": INT, "cold": INT}, "name-probability",
+                               name_model=model)
     # descending frequency product; equal products tie-break on the
     # substituted name tuple in ascending order
     assert [print_tree(n) for n in out] == [

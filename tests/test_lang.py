@@ -17,10 +17,11 @@ from minirepair.lang import (
     pre_order,
 )
 from minirepair.lang.ast import INT, STRING, UnknownNodeError
+from minirepair.lang.parser import MAX_NESTING, MAX_TREE_HEIGHT
 from minirepair.lang.printer import expr_str, print_sources
 from minirepair.lang.types import cached_types
 
-from conftest import CORPUS, load_bug
+from conftest import CORPUS, load_bug, nested
 
 
 def parse_one(source: str):
@@ -97,6 +98,50 @@ def test_int_literal_with_leading_zeros_keeps_its_value():
 def test_int_literal_beyond_64_bits_is_a_syntax_error(source):
     with pytest.raises(MiniSyntaxError, match="out of the 64-bit range"):
         parse_one(source)
+
+
+def nest(levels: int, opening: str, inner: str, closing: str) -> str:
+    return opening * levels + inner + closing * levels
+
+
+def chain(terms: int) -> str:
+    return " + ".join(["x"] * terms)
+
+
+# sources that nest `n` constructs: the function body is the first block,
+# and the returned expression opens one more
+NESTING = {
+    "parenthesis": lambda n: f"fn f() -> int {{ return {nest(n - 2, '(', '1', ')')}; }}",
+    "block": lambda n: f"fn f() {{ {nest(n - 1, '{ ', '', '}')} }}",
+    "prefix": lambda n: f"fn f() -> int {{ return {nest(n - 2, '- ', '1', '')}; }}",
+    "call": lambda n: f"fn f(x: int) -> int {{ return {nest(n - 2, 'f(', '1', ')')}; }}",
+    "array": lambda n: f"fn f() {{ let a = {nest(n - 2, '[', '1', ']')}; }}",
+    "index": lambda n: f"fn f(a: [int]) -> int {{ return {nest(n - 2, 'a[', '0', ']')}; }}",
+    "else-if": lambda n: f"fn f(x: int) {{ if (x == 0) {{ }}{' else if (x == 0) { }' * (n - 2)} }}",
+    "array-type": lambda n: f"fn f(a: {nest(n, '[', 'int', ']')}) {{ }}",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NESTING))
+def test_nesting_limit_is_exact(kind):
+    parse_one(NESTING[kind](MAX_NESTING))
+    with pytest.raises(MiniSyntaxError, match=f"nesting deeper than {MAX_NESTING} levels"):
+        parse_one(NESTING[kind](MAX_NESTING + 1))
+
+
+def test_tree_height_limit_is_exact():
+    # function, block, return, the chain's binary-ops and the last leaf
+    terms = MAX_TREE_HEIGHT - 3
+    parse_one(f"fn f(x: int) -> int {{ return {chain(terms)}; }}")
+    with pytest.raises(MiniSyntaxError, match=f"deeper than {MAX_TREE_HEIGHT} levels"):
+        parse_one(f"fn f(x: int) -> int {{ return {chain(terms + 1)}; }}")
+
+
+def test_nesting_errors_do_not_depend_on_the_callers_stack():
+    source = f"fn f() -> int {{ return {nest(70, '(', '1', ')')}; }}"
+    for frames in (0, 300):
+        with pytest.raises(MiniSyntaxError, match="nesting deeper"):
+            nested(frames, lambda: parse_one(source))
 
 
 def test_node_ids_are_preorder_and_stable():

@@ -1,12 +1,19 @@
-"""Ranked ingredient transformation: one plan per entry versus a rebuild
-on every pick.
+"""Ingredient transformation: one candidate plan per entry versus the
+paths it replaced.
 
-For name-probability (cardumen) and name-similarity (deeprepair-lite) the
-session ranks an entry's substitutions once per (point, operator) and
-keeps a cursor.  `rebuild_every_pick` below is the algorithm that replaced:
-on every pick it rebuilds the entry's whole ranked candidate list with
-`transform_ingredient` and scans it from the top for a form the attempt
-cache has not seen.  Both must give the same search, byte for byte.
+The session plans an entry's candidates once per (point, operator) and
+keeps a cursor (random-var replans on every pick, since it draws anew).
+Two oracles keep the algorithms that plan replaced, and each must give the
+same search, byte for byte:
+
+- `rebuild_every_pick`, for name-probability (cardumen) and
+  name-similarity (deeprepair-lite): on every pick it rebuilds the entry's
+  whole ranked candidate list with `transform_ingredient` and scans it
+  from the top for a form the attempt cache has not seen;
+- `draw_every_pick`, for none (jgenprog) and random-var (tibra): the eager
+  list of at most one tree of the old `transform_ingredient`, with
+  random-var's entry sealed once its distinct drawn forms fill the
+  substitution space.
 """
 
 import dataclasses
@@ -15,31 +22,37 @@ import pytest
 
 from minirepair import engine
 from minirepair.engine import RepairSession, Transformation, navigate
-from minirepair.ingredients import RANKED_TRANSFORMS, transform_ingredient
+from minirepair.ingredients import (
+    out_of_scope_vars,
+    substitute_variables,
+    substitution_space_size,
+    transform_ingredient,
+)
 from minirepair.lang.printer import print_tree
 from minirepair.presets import config_from_preset
 
 from conftest import corpus_bug_names, load_bug
 
 PRESETS = ("cardumen", "deeprepair-lite")
+FIXED_PRESETS = ("jgenprog", "tibra")
 SEEDS = (1, 2, 3)
 
 
-def rebuild_every_pick(self, point, op):
-    """RepairSession.create_transformation before plans, for the ranked
-    strategies."""
-    assert self._ingredient_transform in RANKED_TRANSFORMS
+def select_entry(self, point, op):
+    """The steps of create_transformation before the ingredient is
+    transformed: (None, outcome) when they decide the pick, else
+    (ingredient, None)."""
     node = self.project.node(point.node_id)
     if not op.applicable(self.project, node):
         self._mark_exhausted(point, op)
         self.stats.not_applicable += 1
-        return None
+        return None, None
     if not op.needs_ingredient:
         if not self.cache.check_and_add(point.node_id, op.name, ""):
             self.stats.duplicates += 1
             self._mark_exhausted(point, op)
-            return None
-        return Transformation(point, op, None)
+            return None, None
+        return None, Transformation(point, op, None)
     ingredient = engine.select_ingredient(
         self.ingredient_pool(),
         point,
@@ -53,7 +66,16 @@ def rebuild_every_pick(self, point, op):
     if ingredient is None:
         self._mark_exhausted(point, op)
         self.stats.exhausted_selections += 1
-        return None
+    return ingredient, None
+
+
+def rebuild_every_pick(self, point, op):
+    """RepairSession.create_transformation before plans, for the ranked
+    strategies."""
+    assert self._ingredient_transform in ("name-probability", "name-similarity")
+    ingredient, outcome = select_entry(self, point, op)
+    if ingredient is None:
+        return outcome
     candidates = transform_ingredient(
         ingredient,
         point.env,
@@ -73,6 +95,58 @@ def rebuild_every_pick(self, point, op):
     self.cache.check_and_add(point.node_id, op.name, ingredient.printed)
     self.stats.duplicates += 1
     return None
+
+
+def eager_transform(ingredient, env, strategy, rng):
+    """transform_ingredient before plans, for none and random-var: a list
+    of at most one tree."""
+    out_vars = out_of_scope_vars(ingredient, env)
+    if strategy == "none":
+        return [] if out_vars else [ingredient.subtree.clone()]
+    if not out_vars:
+        return [ingredient.subtree.clone()]
+    mapping = {}
+    for name, ty in out_vars:
+        names = sorted(n for n, env_ty in env.items() if env_ty == ty)
+        if not names:
+            return []
+        mapping[name] = rng.choice(names)
+    return [substitute_variables(ingredient, mapping)]
+
+
+def draw_every_pick(self, point, op):
+    """RepairSession.create_transformation before plans, for none and
+    random-var."""
+    assert self._ingredient_transform in ("none", "random-var")
+    ingredient, outcome = select_entry(self, point, op)
+    if ingredient is None:
+        return outcome
+    key = (point.node_id, op.name, ingredient.printed)
+    candidates = eager_transform(ingredient, point.env, self._ingredient_transform,
+                                 self.rng.transform)
+    if not candidates:
+        self.cache.check_and_add(*key)
+        self.stats.not_applicable += 1
+        return None
+    random_var = self._ingredient_transform == "random-var"
+    forms = self.__dict__.setdefault("oracle_forms", {}).setdefault(key, set())
+    chosen = None
+    for cand in candidates:
+        printed = print_tree(cand)
+        if random_var:
+            forms.add(printed)
+        if self.cache.check_and_add(point.node_id, op.name, printed):
+            chosen = Transformation(point, op, cand, concrete_printed=printed)
+            break
+    if random_var:
+        space = substitution_space_size(ingredient, point.env)
+        if space and len(forms) >= space:
+            self.cache.check_and_add(*key)
+    if chosen is None:
+        if not random_var:
+            self.cache.check_and_add(*key)
+        self.stats.duplicates += 1
+    return chosen
 
 
 def run_with(create, project, suite, config):
@@ -105,6 +179,18 @@ def test_plans_match_rebuilding_on_every_pick(bug):
             config.step_budget = meta["step_budget"]
             new = run_with(RepairSession.create_transformation, project, suite, config)
             old = run_with(rebuild_every_pick, project, suite, config)
+            assert observed(new) == observed(old), (bug, mode, seed)
+
+
+@pytest.mark.parametrize("bug", corpus_bug_names())
+def test_plans_match_drawing_on_every_pick(bug):
+    project, suite, meta = load_bug(bug)
+    for mode in FIXED_PRESETS:
+        for seed in SEEDS:
+            config = config_from_preset(mode, seed=seed)
+            config.step_budget = meta["step_budget"]
+            new = run_with(RepairSession.create_transformation, project, suite, config)
+            old = run_with(draw_every_pick, project, suite, config)
             assert observed(new) == observed(old), (bug, mode, seed)
 
 
