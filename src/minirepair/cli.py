@@ -10,9 +10,11 @@ planted fix) and `expected_fix.patch`.  Repair writes `report.json` and one
 least one patch was found, 2 when the search ended empty-handed, and 1 on
 usage, parse, or nothing-to-repair errors.
 
-All artifacts are byte-deterministic for a fixed configuration and seed;
-the time measure in reports and bench CSVs is interpreter steps, not wall
-clock.  Set REPAIR_LOG=debug|info|warning for stderr logging.
+All artifacts are byte-deterministic for a fixed configuration and seed
+under one CPython minor version (a deep MiniLang recursion can end where
+Python's stack runs out, which differs between versions); the time measure
+in reports and bench CSVs is interpreter steps, not wall clock.  Set
+REPAIR_LOG=debug|info|warning for stderr logging.
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ A configuration names one component per extension point (granularity,
 navigation, point/operator selection, operator space, ingredient scope/
 selection/transformation, fault-localization formula) plus the search
 budgets.  Presets fill these in; explicit config keys and CLI flags
-override preset values, in that order.
+override preset values, in that order.  Where a module dispatches an
+extension point through a table (`operators.SPACES`, `faultloc.FORMULAS`),
+the table's keys are the names listed here.
 
 The config file format is a flat `key = value` file: one pair per line,
 `#` starts a comment, booleans are `true`/`false`, everything else is an
@@ -16,6 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from minirepair import faultloc, operators
+from minirepair.lang.interp import DEFAULT_STEP_BUDGET
+
 
 class ConfigError(Exception):
     pass
@@ -25,11 +30,24 @@ NAVIGATIONS = ("exhaustive", "selective", "evolutionary")
 POINT_SELECTIONS = ("uniform-random", "weighted-random", "sequential")
 OPERATOR_SELECTIONS = ("uniform-random", "weighted-random", "sequential")
 GRANULARITIES = ("statement", "expression", "logical-relational")
-OPERATOR_SPACES = ("irr-statements", "suppression", "relational-logical", "r-expression")
+OPERATOR_SPACES = tuple(operators.SPACES)
 SCOPES = ("file", "module", "global")
 INGREDIENT_SELECTIONS = ("uniform", "similarity", "name-probability")
 INGREDIENT_TRANSFORMS = ("none", "random-var", "name-probability", "name-similarity")
-FORMULAS = ("ochiai", "tarantula")
+FORMULAS = tuple(faultloc.FORMULAS)
+# the enumerated keys, in the order `RunConfig.validate` checks them; an
+# ingredient key may also be None, for the engine's default per space
+CHOICES = {
+    "navigation": NAVIGATIONS,
+    "granularity": GRANULARITIES,
+    "point_selection": POINT_SELECTIONS,
+    "operator_space": OPERATOR_SPACES,
+    "operator_selection": OPERATOR_SELECTIONS,
+    "formula": FORMULAS,
+    "ingredient_scope": SCOPES,
+    "ingredient_selection": INGREDIENT_SELECTIONS,
+    "ingredient_transform": INGREDIENT_TRANSFORMS,
+}
 INT_FIELDS = (
     "max_suspicious", "seed", "max_solutions", "max_iterations", "population",
     "points_per_iteration", "step_budget", "jobs",
@@ -59,28 +77,13 @@ class RunConfig:
     p_mut: float = 1.0
     p_cross: float = 0.25
     points_per_iteration: int = 1
-    step_budget: int = 1_000_000
+    step_budget: int = DEFAULT_STEP_BUDGET
     jobs: int = 1  # accepted and echoed; tests always run serially (docs/config.md)
 
     def validate(self) -> None:
-        checks = [
-            ("navigation", self.navigation, NAVIGATIONS),
-            ("granularity", self.granularity, GRANULARITIES),
-            ("point_selection", self.point_selection, POINT_SELECTIONS),
-            ("operator_space", self.operator_space, OPERATOR_SPACES),
-            ("operator_selection", self.operator_selection, OPERATOR_SELECTIONS),
-            ("formula", self.formula, FORMULAS),
-        ]
-        optional = [
-            ("ingredient_scope", self.ingredient_scope, SCOPES),
-            ("ingredient_selection", self.ingredient_selection, INGREDIENT_SELECTIONS),
-            ("ingredient_transform", self.ingredient_transform, INGREDIENT_TRANSFORMS),
-        ]
-        for name, value, allowed in checks:
-            if value not in allowed:
-                raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
-        for name, value, allowed in optional:
-            if value is not None and value not in allowed:
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed and not (value is None and name.startswith("ingredient_")):
                 raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
         for name in INT_FIELDS:
             value = getattr(self, name)

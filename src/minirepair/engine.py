@@ -73,10 +73,6 @@ from minirepair.rng import RngStreams, SplitMix64
 from minirepair.validate import Baseline, fitness, refine_patches, validate_variant
 
 
-class NoSearchSpace(Exception):
-    """No suspicious element matches the configured granularity."""
-
-
 @dataclass(frozen=True)
 class ModificationPoint:
     node_id: int
@@ -743,8 +739,7 @@ class RepairSession:
         self._mark_exhausted(point, op)
 
     def _run_exhaustive(self) -> None:
-        ordered = sorted(self.points, key=lambda p: (-p.suspiciousness, p.node_id))
-        for point in ordered:
+        for point in select_points(self.points, "sequential", len(self.points), self.rng.points):
             for op in self.space.operators:
                 for t in self._exhaustive_candidates(point, op):
                     reason = self._should_stop()

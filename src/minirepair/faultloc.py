@@ -17,14 +17,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from minirepair.config import FORMULAS
-from minirepair.lang.ast import SourceProject
-from minirepair.lang.interp import DEFAULT_STEP_BUDGET, UNIT, ExecutionTrace, Unit, execute
-from minirepair.lang.parser import INT64_MAX, INT64_MIN
-
-RUNTIME_ERROR_KINDS = frozenset(
-    {"div-by-zero", "index-out-of-bounds", "undefined-variable", "type-error",
-     "stack-overflow", "missing-return", "undefined-function", "bad-arity"}
+from minirepair.lang.ast import INT64_MAX, INT64_MIN, SourceProject
+from minirepair.lang.interp import (
+    DEFAULT_STEP_BUDGET,
+    ERROR_KINDS,
+    UNIT,
+    ExecutionTrace,
+    Unit,
+    execute,
 )
 
 
@@ -152,16 +152,17 @@ def tarantula(ef: int, ep: int, nf: int, np: int) -> float:
     return fail_ratio / (fail_ratio + pass_ratio)
 
 
-_FORMULA_FN = {"ochiai": ochiai, "tarantula": tarantula}
+# the fault-localization extension point: config.FORMULAS lists its keys
+FORMULAS = {"ochiai": ochiai, "tarantula": tarantula}
 
 
 def suspiciousness(matrix: SpectrumMatrix, formula: str = "ochiai") -> list[SuspiciousLocation]:
     """Ranked suspicious statements, descending score, ties by node id."""
-    if formula not in _FORMULA_FN:
-        raise ValueError(f"unknown formula {formula!r} (choose from {FORMULAS})")
+    if formula not in FORMULAS:
+        raise ValueError(f"unknown formula {formula!r} (choose from {tuple(FORMULAS)})")
     if matrix.total_failing == 0:
         raise NoFailingTests("no failing tests: nothing to repair")
-    fn = _FORMULA_FN[formula]
+    fn = FORMULAS[formula]
     locations = []
     for sid in matrix.covered_statements():
         ef, ep, nf, np = matrix.counters(sid)
@@ -218,7 +219,7 @@ def suite_from_json(doc) -> list[TestCase]:
             raise SuiteError(f"{where}: null is not a valid argument")
         if has_error:
             kind = entry["expect_error"]
-            if kind not in RUNTIME_ERROR_KINDS:
+            if kind not in ERROR_KINDS:
                 raise SuiteError(f"{where}: unknown error kind {kind!r}")
             suite.append(TestCase(entry["name"], entry["entry"], args, expect_error=kind))
         else:

@@ -26,7 +26,10 @@ EXPRESSION_KINDS = frozenset(
 
 RELATIONAL_OPS = ("<", "<=", ">", ">=", "==", "!=")
 LOGICAL_OPS = ("&&", "||")
-ARITHMETIC_OPS = ("+", "-", "*", "/", "%")
+
+# the range of MiniLang's 64-bit signed int
+INT64_MIN = -(1 << 63)
+INT64_MAX = (1 << 63) - 1
 
 
 class ProjectError(Exception):

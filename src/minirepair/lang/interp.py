@@ -2,7 +2,10 @@
 
 Every statement and expression evaluation consumes one step from the step
 budget, which replaces wall-clock test timeouts: the same program, entry
-and arguments always produce the same trace, on any machine.  Runtime
+and arguments produce the same trace on any machine, with one exception:
+a deep MiniLang recursion can end in `stack-overflow` before
+`MAX_CALL_DEPTH`, where Python's RecursionError fires, and that depth
+depends on the caller's stack and on the CPython minor version.  Runtime
 errors never escape; they are folded into the trace outcome.
 
 Semantics notes:
@@ -25,14 +28,18 @@ import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from minirepair.lang.ast import RELATIONAL_OPS, Node, SourceProject, Type
+from minirepair.lang.ast import INT64_MAX, INT64_MIN, RELATIONAL_OPS, Node, SourceProject, Type
 
-_MIN64 = -(1 << 63)
-_MAX64 = (1 << 63) - 1
 _WRAP = 1 << 64
 
 MAX_CALL_DEPTH = 200
 DEFAULT_STEP_BUDGET = 1_000_000
+
+# every `error_kind` an outcome can carry (docs/tests-schema.md)
+ERROR_KINDS = frozenset(
+    {"div-by-zero", "index-out-of-bounds", "undefined-variable", "type-error",
+     "stack-overflow", "missing-return", "undefined-function", "bad-arity"}
+)
 
 # iterations a loop runs before the loop cuts start (see `_LoopCut`)
 _CUT_AFTER_ITERATIONS = 8
@@ -95,7 +102,7 @@ class _Return(Exception):
 
 
 def _wrap64(x: int) -> int:
-    return ((x - _MIN64) % _WRAP) + _MIN64
+    return ((x - INT64_MIN) % _WRAP) + INT64_MIN
 
 
 def _trunc_div(a: int, b: int) -> int:
@@ -319,7 +326,7 @@ def _outlasts(counting: _Counting, scopes: list[dict], remaining: int) -> bool:
         if type(value) is not int:
             return False
         step = sign * _operand(increment, scopes) if sign else 0
-        if not _MIN64 <= value + last * step <= _MAX64:
+        if not INT64_MIN <= value + last * step <= INT64_MAX:
             return False
         ends.append((value, step))
     (a, da), (b, db) = ends
@@ -602,13 +609,7 @@ class _Run:
             raise _RuntimeFault("type-error", node)
         if numeric and type(a) is not type(b):
             a, b = float(a), float(b)  # as `==` and arithmetic promote
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        return a >= b
+        return _ORDERS[op](a, b)
 
     def eval_arith(self, op: str, a, b, node: Node):
         if isinstance(a, str) and isinstance(b, str) and op == "+":
@@ -647,15 +648,11 @@ class _Run:
         idx = self.eval(node.children[1], scopes)
         if not isinstance(idx, int) or isinstance(idx, bool):
             raise _RuntimeFault("type-error", node)
-        if isinstance(base, list):
-            if idx < 0 or idx >= len(base):
-                raise _RuntimeFault("index-out-of-bounds", node)
-            return base[idx]
-        if isinstance(base, str):
-            if idx < 0 or idx >= len(base):
-                raise _RuntimeFault("index-out-of-bounds", node)
-            return base[idx]
-        raise _RuntimeFault("type-error", node)
+        if not isinstance(base, (list, str)):
+            raise _RuntimeFault("type-error", node)
+        if idx < 0 or idx >= len(base):
+            raise _RuntimeFault("index-out-of-bounds", node)
+        return base[idx]
 
     def eval_call(self, node: Node, scopes):
         args = [self.eval(a, scopes) for a in node.children]

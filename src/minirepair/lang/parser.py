@@ -9,6 +9,7 @@ from minirepair.lang.ast import (
     BOOL,
     FLOAT,
     INT,
+    INT64_MAX,
     STRING,
     MiniSyntaxError,
     Node,
@@ -16,11 +17,6 @@ from minirepair.lang.ast import (
     array_of,
 )
 from minirepair.lang.lexer import Token, tokenize
-
-# the range of MiniLang's 64-bit signed int; a literal is never negative,
-# so INT64_MIN is written `-9223372036854775807 - 1`
-INT64_MIN = -(1 << 63)
-INT64_MAX = (1 << 63) - 1
 
 # What one function may nest, so that the parser and every recursive walk
 # over a parsed tree (type checker, printer, interpreter) stay far below
@@ -275,7 +271,9 @@ class _Parser:
         if tok.kind == "int":
             self.advance()
             digits = tok.text.lstrip("0") or "0"
-            # the length test first: int() refuses strings of over 4,300 digits
+            # a literal is never negative, so INT64_MIN is written
+            # `-9223372036854775807 - 1`; the length test first: int()
+            # refuses strings of over 4,300 digits
             if len(digits) > len(str(INT64_MAX)) or int(digits) > INT64_MAX:
                 self.error(tok, f"int literal {tok.text} is out of the 64-bit range")
             return Node("literal", value=int(digits), line=tok.line, col=tok.col)

@@ -21,7 +21,6 @@ _BIN_PREC = {
 }
 _UNARY_PREC = 6
 _POSTFIX_PREC = 7
-_ATOM_PREC = 8
 
 
 def format_value(value) -> str:

@@ -37,8 +37,8 @@ from minirepair.lang.ast import (
     Node,
     SourceProject,
     Type,
-    pre_order,
 )
+from minirepair.lang.types import free_refs
 
 
 class RepairOperator:
@@ -84,16 +84,13 @@ def _replace_child(parent: Node, target: Node, replacement: Node) -> None:
     raise ValueError("target is not a child of its recorded parent")
 
 
-def _decl_used_later(project: SourceProject, decl: Node) -> bool:
-    """True when a var-decl's name is referenced after it inside its
-    function.  Node ids are pre-order, so 'after' is a simple id compare."""
-    fn = project.enclosing_function(decl.node_id)
-    own = {n.node_id for n in pre_order(decl)}
-    for n in pre_order(fn):
-        if n.kind == "var-ref" and n.name == decl.name:
-            if n.node_id not in own and n.node_id > decl.node_id:
-                return True
-    return False
+def _decl_used_later(block: Node, decl: Node) -> bool:
+    """True when a var-decl binds a name that a later statement of its
+    block reads: the checker's binding rule (`types.free_refs`)."""
+    siblings = block.children
+    # by identity: Node is a dataclass, so list.index would compare by value
+    start = next(i for i, stmt in enumerate(siblings) if stmt is decl) + 1
+    return any(ref.name == decl.name for stmt in siblings[start:] for ref in free_refs(stmt))
 
 
 def default_return_node(ret: Type | None) -> Node:
@@ -133,11 +130,10 @@ class RemoveStatement(RepairOperator):
     granularity = "statement"
 
     def applicable(self, project, node):
-        if not node.is_statement() or _parent_block(project, node) is None:
+        block = _parent_block(project, node)
+        if not node.is_statement() or block is None:
             return False
-        if node.kind == "var-decl" and _decl_used_later(project, node):
-            return False
-        return True
+        return node.kind != "var-decl" or not _decl_used_later(block, node)
 
     def mutate(self, project, target, ingredient):
         block = _parent_block(project, target)
@@ -291,7 +287,8 @@ def space_r_expression() -> OperatorSpace:
     return OperatorSpace("r-expression", (ReplaceExpression(),))
 
 
-_SPACES = {
+# the operator-space extension point: config.OPERATOR_SPACES lists its keys
+SPACES = {
     "irr-statements": space_irr_statements,
     "suppression": space_suppression,
     "relational-logical": space_relational_logical,
@@ -301,7 +298,7 @@ _SPACES = {
 
 def operator_space(name: str) -> OperatorSpace:
     try:
-        return _SPACES[name]()
+        return SPACES[name]()
     except KeyError:
         raise ValueError(f"unknown operator space {name!r}") from None
 

@@ -7,7 +7,7 @@ suite, so any change here must be reflected there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from minirepair.config import RunConfig
 
@@ -98,6 +98,9 @@ PRESETS: dict[str, ApproachPreset] = {
 }
 
 PRESET_NAMES = tuple(PRESETS)
+# the extension points a preset binds that a RunConfig also has
+_RUN_FIELDS = {f.name for f in fields(RunConfig)}
+_SHARED_FIELDS = tuple(f.name for f in fields(ApproachPreset) if f.name in _RUN_FIELDS)
 
 
 def preset(name: str) -> ApproachPreset:
@@ -112,17 +115,7 @@ def preset(name: str) -> ApproachPreset:
 def config_from_preset(name: str, **overrides) -> RunConfig:
     """RunConfig seeded from a preset; keyword overrides win."""
     p = preset(name)
-    config = RunConfig(
-        mode=p.name,
-        granularity=p.granularity,
-        navigation=p.navigation,
-        point_selection=p.point_selection,
-        operator_space=p.operator_space,
-        operator_selection=p.operator_selection,
-        ingredient_scope=p.ingredient_scope,
-        ingredient_selection=p.ingredient_selection,
-        ingredient_transform=p.ingredient_transform,
-    )
+    config = RunConfig(mode=p.name, **{key: getattr(p, key) for key in _SHARED_FIELDS})
     for key, value in overrides.items():
         if value is not None:
             setattr(config, key, value)

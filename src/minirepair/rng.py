@@ -3,8 +3,10 @@
 All stochastic decisions in the search are driven by SplitMix64, a small,
 well-known 64-bit generator (Steele, Lea & Flood 2014).  Implementing it
 here (rather than relying on the stdlib Mersenne Twister) pins the byte
-stream forever: identical seeds produce identical searches on any platform
-and any Python version.
+stream forever: identical seeds produce identical draws on any platform
+and any Python version.  The searches built on them repeat only under one
+CPython minor version, because a deep MiniLang recursion can end where
+Python's stack runs out, which differs between versions (see `interp`).
 
 Each distinct purpose (point selection, operator selection, ingredient
 selection, ingredient transformation, crossover) gets its own stream

@@ -5,6 +5,7 @@ import pytest
 from minirepair.faultloc import run_suite
 from minirepair.lang import Node, parse_project, pre_order
 from minirepair.lang.printer import print_sources, print_tree
+from minirepair.lang.types import check_project
 from minirepair.operators import (
     apply_operator,
     default_return_node,
@@ -86,6 +87,30 @@ def test_remove_unused_declaration_allowed():
     remove = space_irr_statements().by_name("remove")
     decl = find_stmt(project, "let y = 1;")
     assert apply_operator(project, remove, decl.node_id) is not None
+
+
+@pytest.mark.parametrize(
+    "source, decl, removable",
+    [
+        # a later `let a` of the outer block binds the `a` that `return` reads
+        ("fn f(n: int) -> int { if (n > 0) { let a = 1; n = n + 1; } let a = 2; return a + n; }",
+         "let a = 1;", True),
+        ("fn f(n: int) -> int { if (n > 0) { let a = 1; n = n + 1; } let a = 2; return a + n; }",
+         "let a = 2;", False),
+        # the inner `let a` shadows the outer one for `y = a`
+        ("fn g(y: int) -> int { let a = 1; { let a = 2; y = a; } return y; }", "let a = 1;", True),
+        ("fn g(y: int) -> int { let a = 1; { let a = 2; y = a; } return y; }", "let a = 2;", False),
+        ("fn h(x: int) -> int { let a = 1; x = a; return x; }", "let a = 1;", False),
+    ],
+    ids=["f-inner", "f-outer", "g-outer", "g-inner", "read-later"],
+)
+def test_remove_declaration_follows_the_checkers_binding_rule(source, decl, removable):
+    project = parse_one(source)
+    remove = space_irr_statements().by_name("remove")
+    target = find_stmt(project, decl)
+    assert remove.applicable(project, target) is removable
+    if removable:
+        check_project(apply_operator(project, remove, target.node_id))
 
 
 def test_insert_before_wraps_in_block():

@@ -1,0 +1,64 @@
+"""The documented vocabularies agree with their one definition in code:
+the enumerated config keys with what `RunConfig.validate` accepts, and the
+`expect_error` kinds with the kinds the interpreter raises."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+from minirepair.config import CHOICES, ConfigError, RunConfig
+from minirepair.lang import interp
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+
+
+def config_doc_values() -> dict[str, tuple[str, ...]]:
+    """key -> values column of the docs/config.md key table, for the rows
+    whose column is only a list of `name`s."""
+    rows = {}
+    for line in (DOCS / "config.md").read_text(encoding="utf-8").splitlines():
+        match = re.match(r"\|\s*`(\w+)`\s*\|\s*(.*?)\s*\|", line)
+        if match and re.fullmatch(r"`[^`]+`(, `[^`]+`)*", match.group(2)):
+            rows[match.group(1)] = tuple(re.findall(r"`([^`]+)`", match.group(2)))
+    return rows
+
+
+def validated_values(key: str) -> tuple[str, ...]:
+    """The tuple `RunConfig.validate` names when it rejects a value of key."""
+    with pytest.raises(ConfigError) as info:
+        RunConfig(**{key: "bogus"}).validate()
+    match = re.fullmatch(rf"{key} must be one of (\(.*\)), got 'bogus'", str(info.value))
+    assert match, str(info.value)
+    return ast.literal_eval(match.group(1))
+
+
+def test_config_doc_enumerates_exactly_the_validated_keys():
+    assert set(config_doc_values()) == set(CHOICES)
+
+
+@pytest.mark.parametrize("key", list(CHOICES))
+def test_config_doc_values_are_the_validated_values(key):
+    assert config_doc_values()[key] == validated_values(key) == CHOICES[key]
+
+
+def test_tests_schema_lists_the_interpreters_error_kinds():
+    text = (DOCS / "tests-schema.md").read_text(encoding="utf-8")
+    paragraph = text.split("Valid `expect_error` kinds:", 1)[1].split("\n\n", 1)[0]
+    kinds = re.findall(r"`([^`]+)`", paragraph)
+    assert len(kinds) == len(set(kinds))
+    assert set(kinds) == interp.ERROR_KINDS
+
+
+def test_every_kind_the_interpreter_raises_is_an_error_kind():
+    tree = ast.parse(Path(interp.__file__).read_text(encoding="utf-8"))
+    raised = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        kinds = [kw.value for kw in node.keywords if kw.arg == "error_kind"]
+        if isinstance(node.func, ast.Name) and node.func.id == "_RuntimeFault":
+            kinds.append(node.args[0])
+        raised.update(k.value for k in kinds if isinstance(k, ast.Constant))
+    assert raised == interp.ERROR_KINDS
