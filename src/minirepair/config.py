@@ -15,7 +15,8 @@ int, float, or bare string.  See docs/config.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from minirepair import faultloc, operators
@@ -107,18 +108,19 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.max_iterations < 0:
             raise ConfigError("max_iterations must be >= 0")
-        if self.max_seconds is not None and self.max_seconds < 0:
-            raise ConfigError("max_seconds must be >= 0")
+        # nan would disable the wall limit, and nan or inf would make
+        # report.json invalid JSON
+        if self.max_seconds is not None and not (
+            self.max_seconds >= 0 and math.isfinite(self.max_seconds)
+        ):
+            raise ConfigError(f"max_seconds must be a finite number >= 0, got {self.max_seconds}")
         if not 0.0 <= self.p_mut <= 1.0 or not 0.0 <= self.p_cross <= 1.0:
             raise ConfigError("p_mut and p_cross must be in [0, 1]")
         if self.operator_selection == "weighted-random" and not self.operator_weights:
             raise ConfigError("weighted-random operator selection needs operator_weights")
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            out[f.name] = getattr(self, f.name)
-        return out
+        return asdict(self)
 
 
 def _coerce(raw: str):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 from minirepair.config import ConfigError, RunConfig
@@ -54,14 +54,7 @@ from minirepair.ingredients import (
 )
 from minirepair.lang.ast import LOGICAL_OPS, RELATIONAL_OPS, Node, SourceProject, Type
 from minirepair.lang.printer import print_sources, print_tree
-from minirepair.lang.types import (
-    TypeCheckError,
-    cached_types,
-    check_project,
-    check_statements,
-    flatten_scopes,
-    scope_stack,
-)
+from minirepair.lang.types import TypeCheckError, cached_types, check_project, env_at
 from minirepair.operators import (
     OperatorSpace,
     RepairOperator,
@@ -82,10 +75,6 @@ class ModificationPoint:
     file: str = ""
     module: str = ""
     function: str = ""
-    # the checker's scope stack before the point's statement (types.scope_stack),
-    # where the type gate of a one-edit variant resumes the checker; None for
-    # a hand-made point, whose variants get the function check
-    scopes: Optional[tuple[dict[str, Type], ...]] = field(default=None, compare=False, hash=False)
 
 
 @dataclass
@@ -138,22 +127,7 @@ class SearchStats:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "variants_generated": self.variants_generated,
-            "validated": self.validated,
-            "rejected_typecheck": self.rejected_typecheck,
-            "not_applicable": self.not_applicable,
-            "duplicates": self.duplicates,
-            "exhausted_selections": self.exhausted_selections,
-            "solutions": self.solutions,
-            "pool_builds": self.pool_builds,
-            "time_steps": self.time_steps,
-            "validations_at_first_patch": self.validations_at_first_patch,
-            "iteration_at_first_patch": self.iteration_at_first_patch,
-            "per_operator": {k: dict(v) for k, v in sorted(self.per_operator.items())},
-            "stop_reason": self.stop_reason,
-        }
+        return asdict(self)
 
 
 # -- modification points -------------------------------------------------------
@@ -198,16 +172,14 @@ def create_modification_points(
     def make_point(node: Node, sv: float) -> ModificationPoint:
         fn = project.enclosing_function(node.node_id)
         sf = project.functions[fn.name][0]
-        scopes = tuple(scope_stack(project, node.node_id))
         return ModificationPoint(
             node_id=node.node_id,
             granularity=granularity,
             suspiciousness=sv,
-            env=flatten_scopes(scopes),
+            env=env_at(project, node.node_id),
             file=sf.path,
             module=sf.module,
             function=fn.name,
-            scopes=scopes,
         )
 
     points: list[ModificationPoint] = []
@@ -322,16 +294,11 @@ class RepairOutcome:
 
     def report_dict(self) -> dict:
         return {
-            "config": _jsonable_config(self.config),
+            "config": self.config.to_dict(),
             "seed": self.config.seed,
             "patches": [p.to_dict() for p in self.patches],
             "stats": self.stats.to_dict(),
         }
-
-
-def _jsonable_config(config: RunConfig) -> dict:
-    out = config.to_dict()
-    return {k: out[k] for k in sorted(out)}
 
 
 class RepairSession:
@@ -533,53 +500,19 @@ class RepairSession:
 
         The variant copies only the path from each edited node up to its
         function root and shares every other node with the session
-        project, which is never modified (`operators.apply_edits`).  A
-        variant of one edit at a session point is judged by
-        `_statement_gate`, which checks only the edited statement's block;
-        any other variant gets its edited functions type-checked against
-        the signatures of the whole project.  Either verdict equals that of
-        a full check, because the session project passed it and operators
-        never change a signature or move a node into another function."""
+        project, which is never modified (`operators.apply_edits`).  Only
+        the edited functions are type-checked, against the signatures of
+        the whole project; the verdict equals that of a full check, because
+        the session project passed it and operators never change a
+        signature or move a node into another function."""
         variant, edited = apply_edits(
             self.project, [(t.operator, t.point.node_id, t.concrete) for t in transformations]
         )
-        if len(transformations) == 1 and transformations[0].point.scopes is not None:
-            return variant if self._statement_gate(transformations[0].point, variant) else None
         try:
             check_project(variant, edited, self.types.signatures)
         except TypeCheckError:
             return None
         return variant
-
-    def _statement_gate(self, point: ModificationPoint, variant: SourceProject) -> bool:
-        """Type gate of a one-edit variant: True when it passes.
-
-        S is the statement that holds the point.  What now stands in S's
-        slot (nothing when S was removed) is checked in the scope stack
-        before S.  Only when the innermost scope it leaves differs from the
-        one S left (`point.scopes[-1]` plus S's own declaration) are the
-        later statements of S's block checked, in the scope it leaves.
-        Every other statement of the project sees the same scopes as in
-        the session project, which passed, so the verdict is that of a
-        full check."""
-        stmt = self.project.enclosing_statement(point.node_id)
-        holder_id = self.project.parents[stmt.node_id]
-        before = self.project.nodes[holder_id].children
-        now = variant.nodes[holder_id].children
-        index = next(i for i, child in enumerate(before) if child is stmt)
-        slot = now[index:index + 1] if len(now) == len(before) else []
-        stmt_leaves = point.scopes[-1]
-        if stmt.kind == "var-decl":
-            stmt_leaves = {**stmt_leaves, stmt.name: self.types.type_of(stmt.node_id)}
-        ret = self.project.functions[point.function][1].ret
-        try:
-            leaves = check_statements(slot, point.scopes, ret, self.types.signatures)
-            if leaves != stmt_leaves:
-                check_statements(now[index + len(slot):], [*point.scopes[:-1], leaves],
-                                 ret, self.types.signatures)
-        except TypeCheckError:
-            return False
-        return True
 
     def _validate(self, variant: ProgramVariant, iteration: int) -> Optional[int]:
         """Materialize + validate a variant; returns its fitness, or None
@@ -679,8 +612,7 @@ class RepairSession:
                     self._run_evolutionary()
         finally:
             self._verdicts = None
-        refined = refine_patches(self)
-        return RepairOutcome(refined.patches, self.stats, self.config, self.solutions, self)
+        return RepairOutcome(refine_patches(self), self.stats, self.config, self.solutions, self)
 
     def _run_selective(self) -> None:
         while True:

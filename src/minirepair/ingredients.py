@@ -79,9 +79,6 @@ class IngredientPool:
     def entries(self, file_path: str, module: str) -> list[Ingredient]:
         return self.entries_by_key.get(self.scope_key(file_path, module), [])
 
-    def size(self) -> int:
-        return sum(len(v) for v in self.entries_by_key.values())
-
 
 def _harvest_nodes(project: SourceProject, granularity: str):
     for sf in project.files:

@@ -5,6 +5,8 @@ Implements exactly the grammar documented in docs/minilang.md.
 
 from __future__ import annotations
 
+import math
+
 from minirepair.lang.ast import (
     BOOL,
     FLOAT,
@@ -279,7 +281,11 @@ class _Parser:
             return Node("literal", value=int(digits), line=tok.line, col=tok.col)
         if tok.kind == "float":
             self.advance()
-            return Node("literal", value=float(tok.text), line=tok.line, col=tok.col)
+            value = float(tok.text)
+            # an infinity would print as `inf`, which reparses as a variable
+            if not math.isfinite(value):
+                self.error(tok, f"float literal {tok.text} is out of the float range")
+            return Node("literal", value=value, line=tok.line, col=tok.col)
         if tok.kind == "string":
             self.advance()
             return Node("literal", value=tok.text, line=tok.line, col=tok.col)

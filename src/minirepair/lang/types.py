@@ -16,7 +16,7 @@ literal `[]` matches any array type.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from minirepair.lang.ast import (
     BOOL,
@@ -75,7 +75,7 @@ def _comparable_eq(a: Type, b: Type) -> bool:
 
 
 class _Checker:
-    def __init__(self, project: SourceProject | None):
+    def __init__(self, project: SourceProject):
         self.project = project
         self.types = ProjectTypes()
         self.path = ""
@@ -328,32 +328,11 @@ def check_project(
     signature or move a node into another function and the unedited
     functions are those of a checked project; so a variant may pass that
     project's checked `signatures`, which are then neither rebuilt nor
-    checked again.  A variant with one edit needs only `check_statements`
-    on the edited statement's block."""
+    checked again.  `RepairSession.materialize` checks every variant this
+    way, whatever its number of edits."""
     return _Checker(project).run(
         None if functions is None else frozenset(functions), signatures
     )
-
-
-def check_statements(
-    stmts: Iterable[Node],
-    scopes: Sequence[dict[str, Type]],
-    ret: Type | None,
-    signatures: dict[str, tuple[tuple[Type, ...], Type | None]],
-) -> dict[str, Type]:
-    """Check statements in order, resuming in the scope stack `scopes`
-    (see `scope_stack`) of a function returning `ret`, with the project's
-    `signatures`; raises TypeCheckError.  Returns the innermost scope the
-    statements leave: a copy of `scopes[-1]` with their declarations.
-    `scopes` is not modified."""
-    checker = _Checker(None)
-    checker.types.signatures = signatures
-    checker.ret = ret
-    innermost = dict(scopes[-1])
-    stack = [*scopes[:-1], innermost]
-    for stmt in stmts:
-        checker.check_stmt(stmt, stack)
-    return innermost
 
 
 def scope_stack(project: SourceProject, node_id: int) -> list[dict[str, Type]]:

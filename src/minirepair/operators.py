@@ -21,8 +21,8 @@ and the engine's `materialize` (a variant's transformation list) both go
 through it.  An operator's `mutate` changes only its target and the
 children of its target or of the target's parent, leaves the subtrees it
 moves intact, gives new nodes node_id -1, and never touches a signature;
-the path copy, the local index update and the type gate of a variant rely
-on that.  An operator's `applicable` covers its structural preconditions;
+the path copy, the local index update and the check of only a variant's
+edited functions rely on that.  An operator's `applicable` covers its structural preconditions;
 whole-variant scope/type checking happens separately at generation time.
 """
 

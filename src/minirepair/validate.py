@@ -16,7 +16,7 @@ unified diffs and orders patches chronologically by discovery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from minirepair.diffs import make_file_diff
 from minirepair.faultloc import SpectrumMatrix, TestCase, run_test
@@ -180,23 +180,15 @@ def minimize_transformations(solution_transformations, revalidate) -> list:
     return current
 
 
-@dataclass
-class RefinedSolutions:
-    patches: list[Patch] = field(default_factory=list)
-    revalidations: int = 0
-
-
-def refine_patches(session) -> RefinedSolutions:
+def refine_patches(session) -> list[Patch]:
     """Minimize, re-validate, and render every solution of a repair session
     in chronological discovery order.  `session` provides the solutions and
     the materialize/validate plumbing (see engine.RepairSession)."""
-    refined = RefinedSolutions()
+    patches = []
     out_order = 0
     for variant in sorted(session.solutions, key=lambda v: v.discovery_order):
-        counter = {"n": 0}
 
         def revalidate(transformations) -> int:
-            counter["n"] += 1
             project = session.materialize(transformations)
             if project is None:
                 return -1  # un-materializable trims never keep fitness 0
@@ -212,8 +204,6 @@ def refine_patches(session) -> RefinedSolutions:
             final_project, session.baseline, session.config.step_budget, short_circuit=False
         )
         session.stats.time_steps += final.steps
-        counter["n"] += 1
-        refined.revalidations += counter["n"]
         if fitness(final) != 0:
             # cannot happen for a true solution; keep the report honest
             continue
@@ -227,6 +217,6 @@ def refine_patches(session) -> RefinedSolutions:
             out_order,
             transformations=kept,
         )
-        refined.patches.append(patch)
+        patches.append(patch)
         out_order += 1
-    return refined
+    return patches

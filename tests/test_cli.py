@@ -67,6 +67,19 @@ def test_int_literal_beyond_64_bits_exits_one(tmp_path, capsys, literal):
     assert "Traceback" not in err
 
 
+def test_float_literal_beyond_the_float_range_exits_one(tmp_path, capsys):
+    project_dir = tmp_path / "huge"
+    (project_dir / "src").mkdir(parents=True)
+    (project_dir / "src" / "main.mini").write_text("fn f() -> float {\n    return 1e999;\n}\n")
+    (project_dir / "tests.json").write_text(
+        json.dumps([{"name": "t", "entry": "f", "args": [], "expect": 1.5}])
+    )
+    assert run_cli("repair", str(project_dir), "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "float range" in err
+    assert "Traceback" not in err
+
+
 def write_project(project_dir, source, tests):
     (project_dir / "src").mkdir(parents=True)
     (project_dir / "src" / "main.mini").write_text(source)
@@ -257,6 +270,25 @@ def test_config_field_types_are_checked(field, value):
     setattr(config, field, value)
     with pytest.raises(ConfigError, match=field):
         config.validate()
+
+
+# nan silently disabled the wall limit, and nan or inf made report.json invalid JSON
+@pytest.mark.parametrize("value,in_file", [("nan", False), ("inf", False), ("nan", True)],
+                         ids=["flag-nan", "flag-inf", "file-nan"])
+def test_non_finite_max_seconds_exits_one(tmp_path, capsys, value, in_file):
+    if in_file:
+        config_file = tmp_path / "run.conf"
+        config_file.write_text(f"max_seconds = {value}\n")
+        extra = ("--config", str(config_file))
+    else:
+        extra = ("--max-seconds", value)
+    code = run_cli("repair", str(CORPUS / "abs-sign"), "--mode", "jmutrepair", *extra,
+                   "--out", str(tmp_path / "out"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "max_seconds must be a finite number >= 0" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_numbers_accepted():

@@ -100,6 +100,22 @@ def test_int_literal_beyond_64_bits_is_a_syntax_error(source):
         parse_one(source)
 
 
+# parsed to inf and printed as `inf`, which reparses as an undefined variable
+@pytest.mark.parametrize("literal", ["1e999", "1" + "0" * 400 + ".0"], ids=["1e999", "10**400"])
+def test_float_literal_beyond_the_float_range_is_a_syntax_error(literal):
+    with pytest.raises(MiniSyntaxError, match="out of the float range"):
+        parse_one(f"fn f() -> float {{ return {literal}; }}")
+
+
+def test_large_float_literal_roundtrips():
+    project = parse_one("fn f() -> float { return 1e308; }")
+    sources = print_sources(project)
+    assert sources["main.mini"] == "fn f() -> float {\n    return 1e+308;\n}\n"
+    reparsed = parse_project(sorted(sources.items()))
+    assert nodes_equal(reparsed.functions["f"][1], project.functions["f"][1])
+    assert reparsed.functions["f"][1].children[0].children[0].children[0].value == 1e308
+
+
 def nest(levels: int, opening: str, inner: str, closing: str) -> str:
     return opening * levels + inner + closing * levels
 
