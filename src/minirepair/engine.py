@@ -13,13 +13,17 @@ Candidate bookkeeping guarantees no (point, operator, concrete form)
 triple is validated twice in one run, which both prunes the search and
 lets selective runs detect a fully exhausted space and stop early.
 
-Sessions on one project object also share what they learn by running the
-suite: the baseline spectrum and the verdict of every one-edit variant
-(`SourceProject.analysis`).  Where a deep MiniLang recursion hits Python's
-RecursionError depends on the caller's stack, so both are shared only
-between sessions started from the same stack position
-(`stack_position`); a session's outcome is that of a fresh project,
-whichever sessions ran before it.
+Sessions on one project object share what depends on the project alone
+(`SourceProject.analysis`): among it, each entry's candidate plan at each
+point, with the printed forms read so far, so a candidate is printed once
+per project and its tree is built only when a variant is materialized.
+They also share what they learn by running the suite: the baseline
+spectrum and the verdict of every one-edit variant.  Where a deep MiniLang
+recursion hits Python's RecursionError depends on the caller's stack, so
+those two are shared only between sessions started from the same stack
+position (`stack_position`); plans hold no verdicts and need no such key.
+A session's outcome is that of a fresh project, whichever sessions ran
+before it.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from minirepair.operators import (
     is_assignment_target_base,
     operator_space,
 )
-from minirepair.rng import RngStreams, SplitMix64
+from minirepair.rng import RngStreams, SplitMix64, prefix_sums
 from minirepair.validate import Baseline, fitness, refine_patches, validate_variant
 
 
@@ -81,8 +85,18 @@ class ModificationPoint:
 class Transformation:
     point: ModificationPoint
     operator: RepairOperator
-    concrete: Optional[Node]  # ingredient subtree ready to splice, or None
-    concrete_printed: Optional[str] = None
+    plan: Optional[Candidates] = None  # the ingredient's candidates at the point, or None
+    index: int = 0  # the candidate of `plan` to splice
+
+    @property
+    def concrete_printed(self) -> Optional[str]:
+        return None if self.plan is None else self.plan.printed[self.index]
+
+    @property
+    def concrete(self) -> Optional[Node]:
+        """The ingredient subtree to splice, built anew on every read, or
+        None for an operator that needs no ingredient."""
+        return None if self.plan is None else self.plan[self.index]
 
     def provenance(self) -> dict:
         return {
@@ -203,14 +217,15 @@ def select_points(
     strategy: str,
     count: int,
     rng: SplitMix64,
-    weights: Optional[Sequence[float]] = None,
+    prefix: Optional[Sequence[float]] = None,
 ) -> list[ModificationPoint]:
     """Choose `count` distinct points.  uniform-random: equal probability;
     weighted-random: probability sv / sum(sv) (uniform fallback when every
     sv is zero); sequential: descending sv, ties by ascending node id.
 
-    `weights`, the points' suspiciousness values in order, lets a caller
-    that selects from the same points many times build that list once."""
+    `prefix`, the running sums of the points' suspiciousness values
+    (`prefix_sums`), lets a caller that selects from the same points many
+    times build it once; a one-point draw then bisects it."""
     if not points:
         raise ValueError("no modification points to select from")
     count = min(count, len(points))
@@ -219,14 +234,14 @@ def select_points(
         return ordered[:count]
     if strategy not in ("uniform-random", "weighted-random"):
         raise ConfigError(f"unknown point selection strategy {strategy!r}")
-    if weights is None:
-        weights = [p.suspiciousness for p in points]
-    use_weights = strategy == "weighted-random" and any(w > 0 for w in weights)
+    if prefix is None:
+        prefix = prefix_sums(p.suspiciousness for p in points)
+    use_weights = strategy == "weighted-random" and prefix[-1] > 0
     if count == 1:
-        idx = rng.weighted_index(weights) if use_weights else rng.below(len(points))
+        idx = rng.prefix_index(prefix) if use_weights else rng.below(len(points))
         return [points[idx]]
     remaining = list(points)
-    weights = list(weights)
+    weights = [p.suspiciousness for p in points]
     picked = []
     for _ in range(count):
         if use_weights:
@@ -317,11 +332,14 @@ class RepairSession:
         self.cache = AttemptCache()
         self.solutions: list[ProgramVariant] = []
         self._variant_counter = 0
-        self._exhausted_pairs: set[tuple[int, str]] = set()
+        # (point, operator) pairs with nothing left to try, and the stat a
+        # pick of the pair adds to (None: not known)
+        self._exhausted_pairs: dict[tuple[int, str], Optional[str]] = {}
         self._validated_signatures: dict[tuple, Optional[int]] = {}
-        # per (point, operator, entry): the entry's candidates there and the
-        # cursor past the last one tried; random-var's distinct forms drawn
-        self._plans: dict[tuple[int, str, str], tuple[Candidates, int]] = {}
+        # per (point, operator, entry): the entry's shared candidates there
+        # and the cursor past the last one tried; random-var's distinct
+        # forms drawn
+        self._cursors: dict[tuple[int, str, str], tuple[Candidates, int]] = {}
         self._drawn_forms: dict[tuple[int, str, str], set[str]] = {}
         self._pool: Optional[IngredientPool] = None
         self._op_counter = 0
@@ -346,7 +364,7 @@ class RepairSession:
         ranked = suspiciousness(matrix, config.formula)
         self.suspicious = filter_suspicious(ranked, config.max_suspicious)
         self.points = create_modification_points(project, self.suspicious, config.granularity)
-        self._point_weights = [p.suspiciousness for p in self.points]
+        self._point_prefix = prefix_sums(p.suspiciousness for p in self.points)
 
         self._scope = config.ingredient_scope or (
             "global" if config.operator_space == "r-expression" else "module"
@@ -362,7 +380,8 @@ class RepairSession:
         """The project's analysis under `key`, built on first use by any
         session.  It depends on the project alone, which no session
         modifies; sessions only read it, except that they add entries to
-        the memos of suite runs ("baselines", "verdicts")."""
+        the memos of suite runs ("baselines", "verdicts"), of applicability
+        ("applicable") and of candidate plans ("plans")."""
         analysis = self.project.analysis
         if key not in analysis:
             analysis[key] = build()
@@ -393,11 +412,30 @@ class RepairSession:
 
     # -- transformation creation ----------------------------------------------
 
-    def _mark_exhausted(self, point: ModificationPoint, op: RepairOperator) -> None:
-        self._exhausted_pairs.add((point.node_id, op.name))
+    def _mark_exhausted(
+        self, point: ModificationPoint, op: RepairOperator, counter: Optional[str] = None
+    ) -> None:
+        """Record that (point, operator) has nothing left to try, and count
+        the pick that found so in the stat `counter`.  The pair stays
+        exhausted for the same reason, because applicability depends only
+        on the unmodified project and the attempt cache only grows, so a
+        later pick of it adds to that stat without redoing the work."""
+        self._exhausted_pairs[point.node_id, op.name] = counter
+        if counter is not None:
+            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
 
     def space_exhausted(self) -> bool:
         return len(self._exhausted_pairs) >= len(self.points) * len(self.space.operators)
+
+    def _applicable(self, point: ModificationPoint, op: RepairOperator) -> bool:
+        """`op.applicable` at the point in the session project, which no
+        session modifies: decided once per project."""
+        memo = self._shared("applicable", dict)
+        key = (point.node_id, op.name)
+        applicable = memo.get(key)
+        if applicable is None:
+            applicable = memo[key] = op.applicable(self.project, self.project.node(point.node_id))
+        return applicable
 
     def create_transformation(
         self, point: ModificationPoint, op: RepairOperator
@@ -406,31 +444,34 @@ class RepairSession:
         (counted as not applicable, exhausted or duplicate).
 
         An operator that needs an ingredient takes an entry from the pool
-        and plans its candidates at the point (`transform_ingredient`).
-        The session keeps the plan and a cursor per (point, operator,
-        entry) while the entry is unsealed: each pick builds candidates
-        from the cursor on until one is new to the attempt cache, and a
-        used-up plan seals the entry.  That equals replanning and scanning
-        from the top, because the plan depends only on the entry, the
-        point's scope and the session's name model, every candidate before
-        the cursor is in the cache, and the cache only grows.  random-var
-        is the exception: it draws anew on every pick, so it replans every
-        time, and its entry is used up once every distinct form was drawn."""
-        node = self.project.node(point.node_id)
-        if not op.applicable(self.project, node):
-            self._mark_exhausted(point, op)
-            self.stats.not_applicable += 1
+        and reads the entry's candidates at the point from its plan
+        (`_plan`), which is made once per project and shared by every
+        session on it.  A transformation names its candidate by plan and
+        index; the tree is built only when a variant is materialized.
+
+        The session keeps a cursor per (point, operator, entry) while the
+        entry is unsealed: each pick reads printed forms from the cursor on
+        until one is new to the attempt cache, and a used-up plan seals the
+        entry.  That equals replanning and scanning from the top, because
+        the plan depends only on the entry, the point's scope and the
+        project's name model, every candidate before the cursor is in the
+        cache, and the cache only grows.  random-var draws anew on every
+        pick instead (`_draw_candidate`)."""
+        counter = self._exhausted_pairs.get((point.node_id, op.name))
+        if counter is not None:
+            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+            return None
+        if not self._applicable(point, op):
+            self._mark_exhausted(point, op, "not_applicable")
             return None
         if not op.needs_ingredient:
             if not self.cache.check_and_add(point.node_id, op.name, ""):
-                self.stats.duplicates += 1
-                self._mark_exhausted(point, op)
+                self._mark_exhausted(point, op, "duplicates")
                 return None
-            return Transformation(point, op, None)
+            return Transformation(point, op)
 
-        pool = self.ingredient_pool()
         ingredient = select_ingredient(
-            pool,
+            self.ingredient_pool(),
             point,
             op.name,
             self._ingredient_selection,
@@ -440,43 +481,100 @@ class RepairSession:
             name_model=self._name_model_if_needed(),
         )
         if ingredient is None:
-            self._mark_exhausted(point, op)
-            self.stats.exhausted_selections += 1
+            self._mark_exhausted(point, op, "exhausted_selections")
             return None
         key = (point.node_id, op.name, ingredient.printed)
-        candidates, cursor = self._plans.pop(key, None) or (self._plan(ingredient, point), 0)
-        if not candidates:
-            # untransformable here (or vanilla strategy with out-of-scope
-            # variables): never try this entry again at this point/op
+        if self._ingredient_transform == "random-var":
+            return self._draw_candidate(point, op, ingredient, key)
+        plan, cursor = self._cursors.pop(key, None) or (self._plan(ingredient, point), 0)
+        if not plan:
+            return self._untransformable(key)
+        for cursor in range(cursor, len(plan)):
+            if self.cache.check_and_add(point.node_id, op.name, self._printed(plan, cursor)):
+                if not self.cache.contains(*key):
+                    self._cursors[key] = (plan, cursor + 1)
+                return Transformation(point, op, plan, cursor)
+        self.cache.check_and_add(*key)  # the plan is used up: seal the entry
+        self.stats.duplicates += 1
+        return None
+
+    def _untransformable(self, key: tuple[int, str, str]) -> None:
+        # no candidate here (or vanilla strategy with out-of-scope
+        # variables): never try this entry again at this point/op
+        self.cache.check_and_add(*key)
+        self.stats.not_applicable += 1
+
+    def _draw_candidate(
+        self, point: ModificationPoint, op: RepairOperator, ingredient: Ingredient, key
+    ) -> Optional[Transformation]:
+        """random-var's pick: one candidate drawn anew (`_draw`).  The entry
+        is used up once every distinct form was drawn."""
+        drawn = self._draw(ingredient, point)
+        if drawn is None:
+            return self._untransformable(key)
+        plan, index = drawn
+        printed = self._printed(plan, index)
+        forms = self._drawn_forms.setdefault(key, set())
+        forms.add(printed)
+        new = self.cache.check_and_add(point.node_id, op.name, printed)
+        if len(forms) >= substitution_space_size(ingredient, point.env):
             self.cache.check_and_add(*key)
-            self.stats.not_applicable += 1
-            return None
-        random_var = self._ingredient_transform == "random-var"
-        for cursor in range(cursor, len(candidates)):
-            concrete = candidates[cursor]
-            printed = print_tree(concrete)
-            if random_var:
-                self._drawn_forms.setdefault(key, set()).add(printed)
-            if self.cache.check_and_add(point.node_id, op.name, printed):
-                break
-        else:
-            concrete = None
-        if random_var:
-            if len(self._drawn_forms[key]) >= substitution_space_size(ingredient, point.env):
-                self.cache.check_and_add(*key)
-        elif concrete is None:
-            self.cache.check_and_add(*key)  # the plan is used up: seal the entry
-        elif not self.cache.contains(*key):
-            self._plans[key] = (candidates, cursor + 1)
-        if concrete is None:
+        if not new:
             self.stats.duplicates += 1
             return None
-        return Transformation(point, op, concrete, concrete_printed=printed)
+        return Transformation(point, op, plan, index)
 
-    def _plan(self, ingredient: Ingredient, point: ModificationPoint) -> Candidates:
-        model = self.name_model() if self._ingredient_transform == "name-probability" else None
-        return transform_ingredient(ingredient, point.env, self._ingredient_transform,
-                                    rng=self.rng.transform, name_model=model)
+    def _draw(
+        self, ingredient: Ingredient, point: ModificationPoint
+    ) -> Optional[tuple[Candidates, int]]:
+        """random-var: one substitution drawn from the session's stream, as
+        (the project's plan of the entry at the point, the index of the
+        drawn candidate in it), or None when some variable has no
+        same-typed name in scope.  The plan holds the substitutions drawn
+        so far, by any session, so each form is printed once per project."""
+        drawn = transform_ingredient(ingredient, point.env, "random-var", rng=self.rng.transform)
+        if not drawn:
+            return None
+        if not drawn.names:
+            return drawn, 0  # the entry as it is (`Ingredient.as_is`)
+        plan = self._plan(ingredient, point, drawn.names)
+        substitution = drawn.substitutions[0]
+        try:
+            return plan, plan.substitutions.index(substitution)
+        except ValueError:
+            plan.substitutions.append(substitution)
+            return plan, len(plan) - 1
+
+    def _plan(self, ingredient: Ingredient, point: ModificationPoint, names=()) -> Candidates:
+        """The candidates of `ingredient` at `point`: planned once per
+        project and transform strategy, except random-var's, which start
+        empty, with the out-of-scope `names`, and grow as sessions draw.
+        Where no variable is out of scope, every point shares the plan
+        `Ingredient.as_is`."""
+        strategy = self._ingredient_transform
+        plans = self._shared(("plans", strategy), dict)
+        # by the entry's identity: equal printed forms from other scopes can
+        # differ in type.  The plan holds the entry, so the id stays unique.
+        key = (point.node_id, id(ingredient))
+        plan = plans.get(key)
+        if plan is None:
+            if strategy == "random-var":
+                plan = Candidates(ingredient, names, [])
+            else:
+                model = self.name_model() if strategy == "name-probability" else None
+                plan = transform_ingredient(ingredient, point.env, strategy, name_model=model)
+            plans[key] = plan
+        return plan
+
+    @staticmethod
+    def _printed(plan: Candidates, index: int) -> str:
+        """The printed form of candidate `index` of the plan.  Every reader
+        reads a plan's candidates in order, so the form is either known or
+        the next one to print."""
+        forms = plan.printed
+        if index == len(forms):
+            forms.append(print_tree(plan[index]))
+        return forms[index]
 
     def _similarity_if_needed(self):
         if self._ingredient_selection == "similarity":
@@ -504,7 +602,8 @@ class RepairSession:
         the edited functions are type-checked, against the signatures of
         the whole project; the verdict equals that of a full check, because
         the session project passed it and operators never change a
-        signature or move a node into another function."""
+        signature or move a node into another function.  Each ingredient
+        is built here, from its plan, and spliced without another copy."""
         variant, edited = apply_edits(
             self.project, [(t.operator, t.point.node_id, t.concrete) for t in transformations]
         )
@@ -630,7 +729,7 @@ class RepairSession:
                 self.config.point_selection,
                 self.config.points_per_iteration,
                 self.rng.points,
-                self._point_weights,
+                self._point_prefix,
             )
             transformations = []
             for point in chosen:
@@ -657,17 +756,20 @@ class RepairSession:
             if t is not None:
                 yield t
             return
-        node = self.project.node(point.node_id)
-        if not op.applicable(self.project, node):
-            self._mark_exhausted(point, op)
-            self.stats.not_applicable += 1
+        if not self._applicable(point, op):
+            self._mark_exhausted(point, op, "not_applicable")
             return
         pool = self.ingredient_pool()
         for entry in list(pool.entries(point.file, point.module)):
-            for concrete in self._plan(entry, point):
-                printed = print_tree(concrete)
-                if self.cache.check_and_add(point.node_id, op.name, printed):
-                    yield Transformation(point, op, concrete, concrete_printed=printed)
+            if self._ingredient_transform == "random-var":
+                drawn = self._draw(entry, point)
+                candidates = [drawn] if drawn else []
+            else:
+                plan = self._plan(entry, point)
+                candidates = [(plan, index) for index in range(len(plan))]
+            for plan, index in candidates:
+                if self.cache.check_and_add(point.node_id, op.name, self._printed(plan, index)):
+                    yield Transformation(point, op, plan, index)
         self._mark_exhausted(point, op)
 
     def _run_exhaustive(self) -> None:
@@ -712,7 +814,7 @@ class RepairSession:
                 if self.rng.points.random() < self.config.p_mut:
                     point = select_points(
                         self.points, self.config.point_selection, 1, self.rng.points,
-                        self._point_weights,
+                        self._point_prefix,
                     )[0]
                     op = select_operator(
                         self.space,

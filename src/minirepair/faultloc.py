@@ -186,6 +186,9 @@ def _value_from_json(raw, where: str):
         return UNIT
     if isinstance(raw, int) and not INT64_MIN <= raw <= INT64_MAX:
         raise SuiteError(f"{where}: an int is out of the 64-bit range")
+    if isinstance(raw, float) and not math.isfinite(raw):
+        # json accepts NaN, Infinity and 1e999; NaN never equals itself
+        raise SuiteError(f"{where}: a float is not finite ({raw!r})")
     if isinstance(raw, (bool, int, float, str)):
         return raw
     if isinstance(raw, list):

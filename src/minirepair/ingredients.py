@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -61,6 +62,12 @@ class Ingredient:
     def free_refs(self) -> tuple[Node, ...]:
         """The subtree's var-refs that no `let` inside it binds, in pre-order."""
         return tuple(free_refs(self.subtree))
+
+    @cached_property
+    def as_is(self) -> "Candidates":
+        """The plan of the entry at every point where all its free
+        variables are in scope: one candidate, the entry itself."""
+        return Candidates(self, (), [()], [self.printed])
 
 
 @dataclass
@@ -277,12 +284,49 @@ class FunctionSimilarity:
 # -- attempt cache -------------------------------------------------------------
 
 
+class _Untried:
+    """The entries of one pool list not yet tried at one (point, operator):
+    their pool indices in pool order and, keyed by printed form, the same
+    indices; a ranking of them and its cursor, once asked for."""
+
+    __slots__ = ("entries", "order", "index_of", "ranked", "cursor")
+
+    def __init__(self, entries: list[Ingredient], tried):
+        self.entries = entries
+        self.order = [i for i, e in enumerate(entries) if not tried(e.printed)]
+        self.index_of = {entries[i].printed: i for i in self.order}
+        self.ranked: list[Ingredient] | None = None
+        self.cursor = 0
+
+    def drop(self, printed: str) -> None:
+        i = self.index_of.pop(printed, None)
+        if i is not None:
+            del self.order[bisect_left(self.order, i)]
+
+    def first(self, rank) -> Ingredient:
+        """The untried entry that sorts first by the key `rank`.  The key
+        is fixed and a tried entry stays tried, so the entries are sorted
+        once and a cursor moves past the tried ones."""
+        if self.ranked is None:
+            self.ranked = sorted((self.entries[i] for i in self.order), key=rank)
+        while self.ranked[self.cursor].printed not in self.index_of:
+            self.cursor += 1
+        return self.ranked[self.cursor]
+
+
 class AttemptCache:
     """Set of (point, operator, printed form) triples already attempted.
-    Only the search loop reads and writes it."""
+    Only the search loop reads and writes it.
+
+    For every (point, operator) that selection asked about, it also keeps
+    the pool entries whose own printed form is not attempted there yet
+    (`untried`).  `check_and_add` is the one way into the set, and it
+    drops an entry from that list as soon as its form is added, whichever
+    candidate printed it."""
 
     def __init__(self):
         self._seen: set[tuple[int, str, str]] = set()
+        self._untried: dict[tuple[int, str], _Untried] = {}
 
     def contains(self, point_id: int, op_name: str, printed: str) -> bool:
         return (point_id, op_name, printed) in self._seen
@@ -293,7 +337,21 @@ class AttemptCache:
         if key in self._seen:
             return False
         self._seen.add(key)
+        untried = self._untried.get((point_id, op_name))
+        if untried is not None:
+            untried.drop(printed)
         return True
+
+    def untried(self, point_id: int, op_name: str, entries: list[Ingredient]) -> _Untried:
+        """The entries of `entries` whose printed form is not attempted at
+        (point, operator), kept up to date from the first call on."""
+        key = (point_id, op_name)
+        untried = self._untried.get(key)
+        if untried is None or untried.entries is not entries:
+            untried = self._untried[key] = _Untried(
+                entries, lambda printed: (point_id, op_name, printed) in self._seen
+            )
+        return untried
 
     def __len__(self) -> int:
         return len(self._seen)
@@ -318,31 +376,32 @@ def select_ingredient(
     `point` must expose file, module, function and node_id attributes.
     An entry counts as tried once its own printed form has been attempted
     at this (point, operator); entries whose transformations still have
-    untried concrete instantiations remain selectable.
+    untried concrete instantiations remain selectable.  uniform and
+    name-probability draw over the untried entries in pool order;
+    similarity takes the best-ranked untried entry.
     """
     entries = pool.entries(point.file, point.module)
-    candidates = [e for e in entries if not cache.contains(point.node_id, op_name, e.printed)]
-    if not candidates:
+    untried = cache.untried(point.node_id, op_name, entries)
+    order = untried.order
+    if not order:
         return None
     if strategy == "uniform":
-        return rng.choice(candidates)
+        return entries[order[rng.below(len(order))]]
     if strategy == "similarity":
         if similarity is None:
             raise ValueError("similarity selection needs a FunctionSimilarity index")
-        ranked = sorted(
-            candidates,
-            key=lambda e: (
+        return untried.first(
+            lambda e: (
                 -similarity.similarity(point.function, e.origin_function),
                 e.origin_function,
                 e.node_id,
-            ),
+            )
         )
-        return ranked[0]
     if strategy == "name-probability":
         if name_model is None:
             raise ValueError("name-probability selection needs a NameFrequencyModel")
-        weights = [name_model.score(e.ref_names) for e in candidates]
-        return candidates[rng.weighted_index(weights)]
+        weights = [name_model.score(entries[i].ref_names) for i in order]
+        return entries[order[rng.weighted_index(weights)]]
     raise ValueError(f"unknown ingredient selection strategy {strategy!r}")
 
 
@@ -411,15 +470,23 @@ def ranked_substitutions(
     return combos
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Candidates(Sequence):
     """The concrete subtrees an ingredient offers at one point, one per
     substitution of its out-of-scope variables, each built when read:
-    item i is a clone with `names` renamed to `substitutions[i]`."""
+    item i is a fresh copy with `names` renamed to `substitutions[i]`.
+
+    A plan is the same for every session on the project, which shares it
+    (`engine.RepairSession`); `printed` holds the printed forms of its
+    first candidates, as far as any session has read them in order.  So a
+    candidate is built to be printed at most once per project, and again
+    only to be spliced into a variant.  (random-var's shared plan starts
+    empty and collects the substitutions that sessions draw.)"""
 
     ingredient: Ingredient
     names: tuple[str, ...]  # the out-of-scope variables
     substitutions: list[tuple[str, ...]]  # replacement names, in the order to try
+    printed: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.substitutions)
@@ -448,10 +515,10 @@ def transform_ingredient(
                   : the substitutions of ranked_substitutions, in its order
     """
     out_vars = out_of_scope_vars(ingredient, env)
-    substitutions: list[tuple[str, ...]] = []
     if not out_vars:
-        substitutions = [()]
-    elif strategy == "random-var":
+        return ingredient.as_is
+    substitutions: list[tuple[str, ...]] = []
+    if strategy == "random-var":
         if rng is None:
             raise ValueError("random-var transformation needs an rng stream")
         drawn = []

@@ -314,8 +314,9 @@ def apply_edits(
     at most once per variant (`own_path`).  After each edit the indexes
     are updated where the edit changed them (`relink`).  An edit whose node
     an earlier edit removed, or whose operator no longer applies there, is
-    skipped.  Each ingredient is cloned before it is spliced in.  Returns
-    the variant and the names of the functions it edited.
+    skipped.  Each ingredient is spliced in as given, so it must be a tree
+    that nothing else holds.  Returns the variant and the names of the
+    functions it edited.
     """
     variant = project.derive()
     owned: set[int] = set()  # ids of the nodes the variant copied or created
@@ -328,7 +329,7 @@ def apply_edits(
         target = variant.own_path(node_id, owned)
         parent = variant.parent(node_id)
         siblings, children = list(parent.children), list(target.children)
-        op.mutate(variant, target, ingredient.clone() if ingredient is not None else None)
+        op.mutate(variant, target, ingredient)
         variant.relink(parent, siblings, owned)
         variant.relink(target, children, owned)
     return variant, frozenset(edited)
@@ -340,11 +341,14 @@ def apply_operator(
     """Apply one operator with `apply_edits`.
 
     Returns the transformed project, or None when the operator is not
-    applicable at the node.  The input project is never modified.
+    applicable at the node.  Neither the input project nor the ingredient
+    is modified: a clone of the ingredient is spliced.
     """
     node = project.node(node_id)
     if not op.applicable(project, node):
         return None
     if op.needs_ingredient and ingredient is None:
         raise ValueError(f"operator {op.name} needs an ingredient")
+    if ingredient is not None:
+        ingredient = ingredient.clone()
     return apply_edits(project, [(op, node_id, ingredient)])[0]

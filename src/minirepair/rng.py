@@ -16,7 +16,16 @@ perturbs the draws of another.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
+
 _MASK64 = (1 << 64) - 1
+
+
+def prefix_sums(weights) -> list:
+    """Running sums of `weights`, added left to right; the last one is the
+    total."""
+    return list(accumulate(weights))
 
 
 def _fnv1a64(text: str) -> int:
@@ -61,16 +70,19 @@ class SplitMix64:
 
     def weighted_index(self, weights) -> int:
         """Index drawn proportionally to the given non-negative weights."""
-        total = float(sum(weights))
+        return self.prefix_index(prefix_sums(weights))
+
+    def prefix_index(self, prefix) -> int:
+        """`weighted_index` of the weights whose running sums are `prefix`
+        (`prefix_sums`): the first index whose sum exceeds a draw in
+        [0, total), or the last index for a draw that reaches the total.
+        A caller drawing many times from fixed weights builds the prefix
+        once, and each draw bisects it."""
+        total = float(prefix[-1]) if prefix else 0.0
         if total <= 0.0:
             raise ValueError("weighted_index() requires a positive total weight")
         r = self.random() * total
-        acc = 0.0
-        for i, w in enumerate(weights):
-            acc += w
-            if r < acc:
-                return i
-        return len(weights) - 1
+        return min(bisect_right(prefix, r), len(prefix) - 1)
 
     def shuffle(self, items: list) -> None:
         for i in range(len(items) - 1, 0, -1):

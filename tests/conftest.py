@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 from minirepair.cli import load_project_dir
+from minirepair.ingredients import Ingredient
+from minirepair.lang.printer import print_tree
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
@@ -32,3 +34,10 @@ def corpus_names():
     names = corpus_bug_names()
     assert len(names) >= 20
     return names
+
+
+def one_tree_plan(tree):
+    """The plan of one candidate, `tree` itself: a Transformation of plan
+    and index 0 splices a copy of it."""
+    return Ingredient(print_tree(tree), tree, "statement", tree.node_id, "", "", "",
+                      frozenset()).as_is

@@ -138,6 +138,24 @@ def test_suite_int_beyond_64_bits_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_suite_float_not_finite_exits_one(tmp_path, capsys, value):
+    # NaN never equals itself, so such a test could never pass
+    project_dir = tmp_path / "nan"
+    (project_dir / "src").mkdir(parents=True)
+    (project_dir / "src" / "main.mini").write_text(
+        "fn f(x: float) -> float {\n    return x * 2.0;\n}\n"
+    )
+    (project_dir / "tests.json").write_text(
+        '[{"name": "t", "entry": "f", "args": [1.0], "expect": %s},'
+        ' {"name": "u", "entry": "f", "args": [%s], "expect": 0.0}]' % (value, value)
+    )
+    assert run_cli("repair", str(project_dir), "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_zero_second_budget_exits_two_with_valid_report(tmp_path):
     out = tmp_path / "out"
     code = run_cli("repair", str(CORPUS / "abs-sign"), "--mode", "jmutrepair",

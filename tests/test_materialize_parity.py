@@ -30,7 +30,7 @@ from minirepair.operators import (
 from minirepair.presets import config_from_preset
 from minirepair.rng import SplitMix64
 
-from conftest import load_bug
+from conftest import load_bug, one_tree_plan
 
 PRESETS = ("jgenprog", "jkali", "jmutrepair", "cardumen")
 COMBINED_LISTS = 40  # seeded lists of length 2-3 per bug
@@ -210,9 +210,8 @@ def declaration_lists(project):
             project, [SuspiciousLocation(stmt.node_id, 1.0)], granularity)
         point = next(p for p in points
                      if print_tree(project.node(p.node_id)).startswith(target or stmt_text))
-        concrete = None if ingredient is None else parsed(ingredient)
-        return [Transformation(point, op, concrete,
-                               None if concrete is None else print_tree(concrete))]
+        plan = None if ingredient is None else one_tree_plan(parsed(ingredient))
+        return [Transformation(point, op, plan)]
 
     replace = ReplaceStatement()
     return [

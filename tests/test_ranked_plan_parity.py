@@ -1,8 +1,9 @@
 """Ingredient transformation: one candidate plan per entry versus the
 paths it replaced.
 
-The session plans an entry's candidates once per (point, operator) and
-keeps a cursor (random-var replans on every pick, since it draws anew).
+The project plans an entry's candidates once per point, and each session
+keeps a cursor per (point, operator) (random-var replans on every pick,
+since it draws anew).
 Two oracles keep the algorithms that plan replaced, and each must give the
 same search, byte for byte:
 
@@ -31,7 +32,7 @@ from minirepair.ingredients import (
 from minirepair.lang.printer import print_tree
 from minirepair.presets import config_from_preset
 
-from conftest import corpus_bug_names, load_bug
+from conftest import corpus_bug_names, load_bug, one_tree_plan
 
 PRESETS = ("cardumen", "deeprepair-lite")
 FIXED_PRESETS = ("jgenprog", "tibra")
@@ -91,7 +92,7 @@ def rebuild_every_pick(self, point, op):
     for cand in candidates:
         printed = print_tree(cand)
         if self.cache.check_and_add(point.node_id, op.name, printed):
-            return Transformation(point, op, cand, concrete_printed=printed)
+            return Transformation(point, op, one_tree_plan(cand))
     self.cache.check_and_add(point.node_id, op.name, ingredient.printed)
     self.stats.duplicates += 1
     return None
@@ -136,7 +137,7 @@ def draw_every_pick(self, point, op):
         if random_var:
             forms.add(printed)
         if self.cache.check_and_add(point.node_id, op.name, printed):
-            chosen = Transformation(point, op, cand, concrete_printed=printed)
+            chosen = Transformation(point, op, one_tree_plan(cand))
             break
     if random_var:
         space = substitution_space_size(ingredient, point.env)
@@ -220,15 +221,15 @@ def _entry_with_forms(session, count):
     raise AssertionError("no entry with enough forms")
 
 
-def _pick_until_used_up(monkeypatch, mode, create, claim_after_first=()):
+def _pick_until_used_up(monkeypatch, mode, create, claim_after_first=(), sessions=2):
     """Pick one fixed entry at one (point, operator) until the session
-    reports it used up.  After the first pick, the ranks in
-    `claim_after_first` are put in the cache, as another entry producing
-    the same form would.  Returns the forms picked, the number of trees
-    printed, the session and the entry."""
+    reports it used up, in each of `sessions` sessions on one project.
+    After each session's first pick, the ranks in `claim_after_first` are
+    put in its cache, as another entry producing the same form would.
+    Returns the forms each session picked, the number of trees printed in
+    all sessions, the last session and the entry."""
     project, suite, meta = load_bug("mid-formula")
-    session = RepairSession(project, suite, config_from_preset(mode, seed=1))
-    point, op, entry, forms = _entry_with_forms(session, 4)
+    entry = None
 
     def select_fixed(pool, pt, op_name, *args, **kwargs):
         cache = args[2]
@@ -240,45 +241,52 @@ def _pick_until_used_up(monkeypatch, mode, create, claim_after_first=()):
         printed_trees.append(node)
         return print_tree(node)
 
-    monkeypatch.setattr(engine, "select_ingredient", select_fixed)
-    monkeypatch.setattr(engine, "print_tree", counting_print)
-    picked = []
-    for _ in range(len(forms) + 2):
-        t = create(session, point, op)
-        picked.append(None if t is None else t.concrete_printed)
-        if len(picked) == 1:
-            for rank in claim_after_first:
-                assert session.cache.check_and_add(point.node_id, op.name, forms[rank])
-    return picked, len(printed_trees), session, point, op, entry, forms
+    runs = []
+    for _ in range(sessions):
+        session = RepairSession(project, suite, config_from_preset(mode, seed=1))
+        point, op, entry, forms = _entry_with_forms(session, 4)
+        monkeypatch.setattr(engine, "select_ingredient", select_fixed)
+        monkeypatch.setattr(engine, "print_tree", counting_print)
+        picked = []
+        for _ in range(len(forms) + 2):
+            t = create(session, point, op)
+            picked.append(None if t is None else t.concrete_printed)
+            if len(picked) == 1:
+                for rank in claim_after_first:
+                    assert session.cache.check_and_add(point.node_id, op.name, forms[rank])
+        monkeypatch.undo()
+        runs.append(picked)
+    return runs, len(printed_trees), session, point, op, entry, forms
 
 
 @pytest.mark.parametrize("mode", PRESETS)
 def test_form_claimed_past_the_cursor_is_skipped(monkeypatch, mode):
     claims = (1, 3)
-    picked, built, session, point, op, entry, forms = _pick_until_used_up(
+    runs, built, session, point, op, entry, forms = _pick_until_used_up(
         monkeypatch, mode, RepairSession.create_transformation, claims
     )
     unclaimed = [f for rank, f in enumerate(forms) if rank not in claims]
-    assert picked[: len(unclaimed)] == unclaimed
-    assert built == len(forms)  # every candidate is built at most once
+    assert runs[0][: len(unclaimed)] == unclaimed
+    assert runs[1] == runs[0]
+    assert built == len(forms)  # every candidate is built at most once per project
     oracle = _pick_until_used_up(monkeypatch, mode, rebuild_every_pick, claims)
-    assert oracle[0] == picked
+    assert oracle[0] == runs
     assert dataclasses.asdict(oracle[2].stats) == dataclasses.asdict(session.stats)
 
 
 @pytest.mark.parametrize("mode", PRESETS)
 def test_used_up_plan_seals_the_entry_and_counts_a_duplicate(monkeypatch, mode):
-    picked, built, session, point, op, entry, forms = _pick_until_used_up(
+    runs, built, session, point, op, entry, forms = _pick_until_used_up(
         monkeypatch, mode, RepairSession.create_transformation
     )
-    assert picked == forms + [None, None]
-    assert built == len(forms)
+    assert runs == [forms + [None, None]] * 2
+    assert built == len(forms)  # every candidate is built at most once per project
     # the pick after the last form finds the plan used up: the entry is
     # sealed and one duplicate counted; the next pick finds no entry
     assert session.stats.duplicates == 1
     assert session.stats.exhausted_selections == 1
     assert session.cache.contains(point.node_id, op.name, entry.printed)
-    assert (point.node_id, op.name, entry.printed) not in session._plans
+    assert (point.node_id, op.name, entry.printed) not in session._cursors
     oracle = _pick_until_used_up(monkeypatch, mode, rebuild_every_pick)
-    assert oracle[0] == picked
+    assert oracle[0] == runs
     assert dataclasses.asdict(oracle[2].stats) == dataclasses.asdict(session.stats)

@@ -1,9 +1,9 @@
-"""Point selection: precomputed weights and the one-point draw versus the
-copy-and-pop loop.
+"""Point selection: precomputed running sums and the one-point draw
+versus the copy-and-pop loop.
 
-`select_points` takes the points' suspiciousness list from the session,
-which builds it once, and draws a single point straight from the point
-list.  `copy_and_pop` below is the function that replaced: it copies the
+`select_points` takes the running sums of the points' suspiciousness from
+the session, which builds them once, and draws a single point straight
+from the point list by bisecting them.  `copy_and_pop` below is the function that replaced: it copies the
 point list and rebuilds the weight list on every call and every pick.
 Both must make the same draws from the generator and return the same
 points, or raise the same error.
@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from minirepair.config import ConfigError
 from minirepair.engine import ModificationPoint, select_points
-from minirepair.rng import SplitMix64
+from minirepair.rng import SplitMix64, prefix_sums
+
+from test_incremental_pick_parity import scan_weighted_index
 
 
 def copy_and_pop(points, strategy, count, rng):
@@ -34,7 +36,7 @@ def copy_and_pop(points, strategy, count, rng):
         raise ConfigError(f"unknown point selection strategy {strategy!r}")
     for _ in range(count):
         if use_weights:
-            idx = rng.weighted_index([p.suspiciousness for p in remaining])
+            idx = scan_weighted_index(rng, [p.suspiciousness for p in remaining])
         else:
             idx = rng.below(len(remaining))
         picked.append(remaining.pop(idx))
@@ -72,10 +74,10 @@ def test_same_draws_as_copy_and_pop(sv, strategy, count, seed, passed):
     ]
     old_rng, new_rng = SplitMix64(seed), SplitMix64(seed)
     expected = outcome(lambda: copy_and_pop(points, strategy, count, old_rng), old_rng)
-    given_weights = list(sv) if passed else None
+    given_prefix = prefix_sums(sv) if passed else None
     actual = outcome(
-        lambda: select_points(points, strategy, count, new_rng, given_weights), new_rng
+        lambda: select_points(points, strategy, count, new_rng, given_prefix), new_rng
     )
     assert actual == expected
     if passed:
-        assert given_weights == sv  # the caller's list is never consumed
+        assert given_prefix == prefix_sums(sv)  # the caller's list is never consumed

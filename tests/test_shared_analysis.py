@@ -53,12 +53,42 @@ def test_shared_project_gives_fresh_artifacts(bug):
         assert any(isinstance(key, tuple) for key in project.analysis)
 
 
+ALL_PRESETS = ("jgenprog", "jkali", "jmutrepair", "deeprepair-lite", "cardumen", "tibra")
+
+
+def report_bytes(project, suite, meta, mode, seed):
+    """The report and patch bytes of one run; every run goes through this
+    one call site, so all of them share the verdict memos too."""
+    return artifacts(navigate(project, suite, config(mode, seed, meta)))
+
+
+@pytest.mark.parametrize("bug", ("two-modules", "mid-formula"))
+def test_each_run_after_all_others_matches_a_fresh_project(bug):
+    runs = [(mode, seed) for mode in ALL_PRESETS for seed in (1, 2, 3)]
+    for target in runs:
+        fresh, suite, meta = load_bug(bug)
+        shared = load_bug(bug)[0]
+        jobs = [(fresh, target)] + [(shared, run) for run in runs if run != target]
+        jobs.append((shared, target))
+        results = [report_bytes(project, suite, meta, *run) for project, run in jobs]
+        assert results[-1] == results[0], (bug, target)
+
+
+def test_bench_rows_do_not_depend_on_pair_order():
+    pairs = [(bug, mode) for bug in ("two-modules", "mid-formula", "audit-scope")
+             for mode in ALL_PRESETS]
+    forward = cli.bench_run(CORPUS, pairs, [1, 2, 3])
+    backward = cli.bench_run(CORPUS, pairs[::-1], [1, 2, 3])
+    key = lambda row: (row["bug"], row["mode"], row["seed"])
+    assert sorted(forward, key=key) == sorted(backward, key=key)
+
+
 def pool_snapshot(project):
     """Every shared pool's entry lists, and their entries, by key."""
     return {
         key: {scope: (entries, tuple(entries)) for scope, entries in pool.entries_by_key.items()}
         for key, pool in project.analysis.items()
-        if isinstance(key, tuple)
+        if isinstance(key, tuple) and key[0] in ("statement-pool", "template-pool")
     }
 
 
