@@ -171,7 +171,9 @@ def bench_run(
     overrides: dict | None = None,
 ) -> list[dict]:
     """Run (bug, mode) pairs across seeds; one result row per run.  Each
-    bug is loaded once, so all its runs share one project and its analysis."""
+    bug is loaded once, so all its runs share one project and its analysis.
+    A bug whose suite has no failing test raises NoFailingTests, with the
+    bug's name in the message."""
     rows = []
     loaded: dict[str, tuple[SourceProject, list[TestCase], dict]] = {}
     for bug_name, mode in pairs:
@@ -185,7 +187,10 @@ def bench_run(
             if overrides:
                 apply_overrides(config, overrides)
             config.validate()
-            outcome = navigate(project, suite, config)
+            try:
+                outcome = navigate(project, suite, config)
+            except NoFailingTests as exc:
+                raise NoFailingTests(f"{bug_name}: {exc}") from None
             stats = outcome.stats
             rows.append(
                 {
@@ -262,7 +267,7 @@ def cmd_bench(args) -> int:
     try:
         pairs = [(bug, mode) for bug in bugs for mode in modes]
         rows = bench_run(corpus, pairs, seeds, overrides)
-    except INPUT_ERRORS as exc:
+    except (*INPUT_ERRORS, NoFailingTests) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out_dir = Path(args.out)

@@ -18,7 +18,9 @@ Sessions on one project object share what depends on the project alone
 point, with the printed forms read so far, so a candidate is printed once
 per project and its tree is built only when a variant is materialized.
 They also share what they learn by running the suite: the baseline
-spectrum and the verdict of every one-edit variant.  Where a deep MiniLang
+spectrum and the verdicts of edit lists (`VerdictMemo`): of every one-edit
+variant, and of each list of several edits once it was seen a second
+time, since most such lists are never seen again.  Where a deep MiniLang
 recursion hits Python's RecursionError depends on the caller's stack, so
 those two are shared only between sessions started from the same stack
 position (`stack_position`); plans hold no verdicts and need no such key.
@@ -297,6 +299,60 @@ def stack_position(frame) -> tuple:
 
 
 REJECTED = -1  # verdict memo value of a variant the type gate rejects
+ID_BITS = 21  # width of one edit's id in the key of an edit list
+SEEN_BITS = 17  # log2 of the size of a verdict memo's admission bit array
+_MIX = 0x9E3779B97F4A7C15  # odd 64-bit multiplier whose high product bits see every key bit
+
+
+class VerdictMemo:
+    """The verdicts of the edit lists one context has validated, an int per
+    list: fitness and steps packed together, or REJECTED.
+
+    Each edit (point node id, operator, printed ingredient) gets a dense id
+    from 1 in the order the memo first sees it, and a list's key packs its
+    ids ID_BITS apiece, so a one-edit list's key is its edit's id and keys
+    of different lists differ.  A list with an id that does not fit has no
+    key and is never stored.
+
+    One-edit verdicts are stored at once: their number is bounded by the
+    one-edit search space.  Lists of several edits mostly never repeat, so
+    one is stored only when it is seen a second time ("cache on second
+    hit"): its first sighting sets a bit of the fixed-size array `seen`,
+    and a set bit admits it.  Another list that shares the bit only gets
+    stored a sighting early, so every stored verdict is still exact."""
+
+    __slots__ = ("ids", "verdicts", "seen")
+
+    def __init__(self) -> None:
+        self.ids: dict[tuple, int] = {}
+        self.verdicts: dict[int, int] = {}
+        self.seen = bytearray(1 << (SEEN_BITS - 3))
+
+    def key(self, signature: tuple) -> Optional[int]:
+        """The key of the edit list `signature`, or None if it has none."""
+        ids = self.ids
+        key = 0
+        for edit in signature:
+            edit_id = ids.get(edit)
+            if edit_id is None:
+                edit_id = ids[edit] = len(ids) + 1
+            if edit_id >> ID_BITS:
+                return None
+            key = key << ID_BITS | edit_id
+        return key
+
+    def admits(self, key: int) -> bool:
+        """Whether to store the verdict of the list with `key`, which just
+        ran: a one-edit list's always, a longer list's when its bit shows a
+        sighting before this one; else the bit now records this sighting."""
+        if key >> ID_BITS == 0:
+            return True
+        bit = (hash(key) * _MIX & 0xFFFFFFFFFFFFFFFF) >> (64 - SEEN_BITS)
+        byte, mask = bit >> 3, 1 << (bit & 7)
+        if self.seen[byte] & mask:
+            return True
+        self.seen[byte] |= mask
+        return False
 
 
 @dataclass
@@ -344,7 +400,7 @@ class RepairSession:
         self._pool: Optional[IngredientPool] = None
         self._op_counter = 0
         self._start_time = 0.0
-        self._verdicts: Optional[dict] = None  # one-edit verdict memo, set by run()
+        self._verdicts: Optional[VerdictMemo] = None  # set by run()
 
         # the spectrum of the suite, shared by the sessions constructed at
         # this stack position; run_suite stays one frame below __init__
@@ -619,11 +675,12 @@ class RepairSession:
         transformation sequence was already validated (possible via
         crossover recombination) reuses the recorded fitness.
 
-        The verdict of a one-edit variant is also looked up in, and else
-        added to, the memo that `run` shares with the sessions run from the
-        same stack position; a hit skips the materialization and the suite
-        run and counts the variant exactly as running it would.  Lists of
-        several edits always run."""
+        The verdict is also looked up in the memo that `run` shares with
+        the sessions run from the same stack position; a hit skips the
+        materialization and the suite run and counts the variant exactly as
+        running it would.  A miss runs the variant and stores its verdict
+        if the memo admits it: a one-edit list at once, a list of several
+        edits at its second sighting (`VerdictMemo`)."""
         signature = tuple(
             (t.point.node_id, t.operator.name, t.concrete_printed)
             for t in variant.transformations
@@ -635,8 +692,9 @@ class RepairSession:
         self.stats.variants_generated += 1
         for t in variant.transformations:
             self.stats.op_bucket(t.operator.name)["created"] += 1
-        memo = self._verdicts if len(signature) == 1 else None
-        verdict = memo.get(signature[0]) if memo is not None else None
+        memo = self._verdicts
+        key = memo.key(signature)
+        verdict = memo.verdicts.get(key)
         if verdict is None:
             project = self.materialize(variant.transformations)
             if project is None:
@@ -645,8 +703,8 @@ class RepairSession:
                 result = validate_variant(project, self.baseline, self.config.step_budget)
                 # fitness and steps packed into one int keep an entry small
                 verdict = result.steps * (len(self.suite) + 1) + fitness(result)
-            if memo is not None:
-                memo[signature[0]] = verdict
+            if key is not None and memo.admits(key):
+                memo.verdicts[key] = verdict
         if verdict == REJECTED:
             self.stats.rejected_typecheck += 1
             self._validated_signatures[signature] = None
@@ -669,15 +727,19 @@ class RepairSession:
                 self.stats.iteration_at_first_patch = iteration
         return variant.fitness
 
-    def _verdict_memo(self, caller) -> dict:
-        """The project's one-edit verdicts for this session's suite,
-        baseline order and step budget, at the stack position of `run`'s
-        `caller` and the current recursion limit: what a variant's
-        verdict depends on besides the variant."""
+    def _verdict_memo(self, caller) -> VerdictMemo:
+        """The project's verdict memo for this session's suite, baseline
+        order and step budget, at the stack position of `run`'s `caller`
+        and the current recursion limit: what a variant's verdict depends
+        on besides its edit list, which `apply_edits` applies alone."""
         failing = tuple(i for i, r in enumerate(self.baseline.matrix.results) if not r.passed)
         key = (self._suite_key, failing, self.config.step_budget, sys.getrecursionlimit(),
                stack_position(caller))
-        return self._shared("verdicts", dict).setdefault(key, {})
+        memos = self._shared("verdicts", dict)
+        memo = memos.get(key)
+        if memo is None:
+            memo = memos[key] = VerdictMemo()
+        return memo
 
     # -- stop conditions ------------------------------------------------------------
 

@@ -42,6 +42,26 @@ def test_all_passing_suite_exits_one(tmp_path):
     assert code == 1
 
 
+def test_bench_on_an_all_passing_suite_exits_one_without_traceback(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS / "abs-sign", corpus / "abs-sign")
+    project_dir = corpus / "healthy"
+    (project_dir / "src").mkdir(parents=True)
+    (project_dir / "src" / "main.mini").write_text(
+        "fn f(x: int) -> int {\n    return x;\n}\n"
+    )
+    (project_dir / "tests.json").write_text(
+        json.dumps([{"name": "t", "entry": "f", "args": [1], "expect": 1}])
+    )
+    code = run_cli("bench", str(corpus), "--modes", "jmutrepair", "--seeds", "1",
+                   "--out", str(tmp_path / "bench"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: healthy: no failing tests: nothing to repair\n"
+    assert "Traceback" not in err
+    assert not (tmp_path / "bench").exists()
+
+
 def test_parse_error_exits_one(tmp_path):
     project_dir = tmp_path / "broken"
     (project_dir / "src").mkdir(parents=True)

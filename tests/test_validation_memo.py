@@ -1,18 +1,21 @@
 """Validation verdicts shared by the repair sessions of one project.
 
 The sessions on one project object share the baseline spectrum and the
-verdict of every one-edit variant (`SourceProject.analysis`), keyed by the
-stack position the session was started from.  The sessions must not
-notice: each report and patch equals that of a session on a freshly
-loaded project at the same stack depth, in any order.
+verdicts of edit lists (`SourceProject.analysis`), keyed by the stack
+position the session was started from: of every one-edit variant, and of
+each list of several edits from its second sighting on.  The sessions must
+not notice: each report and patch equals that of a session on a freshly
+loaded project at the same stack depth, in any order, and that of sessions
+that run every list of several edits, as before such lists were stored.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from minirepair import engine
-from minirepair.engine import RepairSession, navigate
+from minirepair.engine import ID_BITS, RepairSession, VerdictMemo, navigate
 from minirepair.lang.ast import nodes_equal
 from minirepair.presets import config_from_preset
 
@@ -24,6 +27,8 @@ PARITY_BUGS = ("ledger-scope", "log-noise", "two-modules")
 # at top level, which changes some outcomes on these two bugs
 DEEP_BUGS = ("ledger-scope", "log-noise")
 DEPTH = 600
+# the presets whose search validates lists of several edits
+EVOLUTIONARY = ("jgenprog", "deeprepair-lite")
 
 
 def config(mode, seed, meta):
@@ -53,8 +58,77 @@ def test_shared_verdicts_give_fresh_artifacts(bug):
         project, suite, meta = load_bug(bug)
         for run in order:
             assert artifacts_at(0, project, suite, run, meta) == fresh[run], (bug, run)
-        (verdicts,) = project.analysis["verdicts"].values()
-        assert verdicts
+        (memo,) = project.analysis["verdicts"].values()
+        assert memo.verdicts
+
+
+def count_materialized_lists(monkeypatch) -> list[int]:
+    """A one-item list counting the variants of several edits materialized
+    from now on."""
+    count = [0]
+    real_materialize = RepairSession.materialize
+
+    def materialize(self, transformations):
+        count[0] += len(transformations) > 1
+        return real_materialize(self, transformations)
+
+    monkeypatch.setattr(RepairSession, "materialize", materialize)
+    return count
+
+
+def store_no_lists(monkeypatch):
+    """The oracle rule: a list of several edits always runs, and only
+    one-edit verdicts are stored."""
+    monkeypatch.setattr(VerdictMemo, "admits", lambda self, key: key >> ID_BITS == 0)
+
+
+def test_stored_lists_give_fresh_artifacts(monkeypatch):
+    materialized = count_materialized_lists(monkeypatch)
+    runs = [(mode, seed) for mode in EVOLUTIONARY for seed in range(1, 9)]
+    fresh_lists = warm_lists = 0
+    for bug in PARITY_BUGS:
+        fresh = {}
+        materialized[0] = 0
+        for run in runs:
+            project, suite, meta = load_bug(bug)
+            fresh[run] = artifacts_at(0, project, suite, run, meta)
+        # a session sees each list once, so a session on a fresh project
+        # answers no list of several edits from the memo
+        fresh_lists += 2 * materialized[0]
+        materialized[0] = 0
+        for order in (runs, runs[::-1]):
+            project, suite, meta = load_bug(bug)
+            for run in order:
+                assert artifacts_at(0, project, suite, run, meta) == fresh[run], (bug, run)
+        warm_lists += materialized[0]
+    assert warm_lists < fresh_lists
+
+
+def observed(outcome):
+    return [p.diff_text.encode() for p in outcome.patches], dataclasses.asdict(outcome.stats)
+
+
+def test_stored_lists_match_running_every_list(monkeypatch):
+    materialized = count_materialized_lists(monkeypatch)
+    runs = [(mode, seed) for mode in PRESETS for seed in range(1, 7)]
+
+    def warm_sessions(bug):
+        project, suite, meta = load_bug(bug)
+        return [observed(navigate(project, suite, config(*run, meta))) for run in runs]
+
+    stored_lists = oracle_lists = 0
+    for bug in PARITY_BUGS + ("count-down", "neg-guard"):
+        materialized[0] = 0
+        stored = warm_sessions(bug)
+        stored_lists += materialized[0]
+        materialized[0] = 0
+        with monkeypatch.context() as patch:
+            store_no_lists(patch)
+            oracle = warm_sessions(bug)
+        oracle_lists += materialized[0]
+        for run, got, expected in zip(runs, stored, oracle):
+            assert got == expected, (bug, run)
+    assert stored_lists < oracle_lists
 
 
 @pytest.mark.parametrize("bug", DEEP_BUGS)
@@ -105,16 +179,65 @@ def test_a_repeated_one_edit_variant_runs_nothing(mode, monkeypatch):
     monkeypatch.setattr(engine, "refine_patches", refine_patches)
     project, suite, meta = load_bug("count-down")
     runs = []
-    for _ in range(2):  # both sessions from one stack position
+    for _ in range(3):  # all sessions from one stack position
         searched.clear()
         runs.append((artifacts(navigate(project, suite, config(mode, 1, meta))), list(searched)))
-    (first, first_searched), (again, again_searched) = runs
-    assert again == first
+    (first, first_searched), (second, second_searched), (third, third_searched) = runs
+    assert second == first and third == first
     assert any(edits == 1 and ran for edits, ran in first_searched)
-    # only lists of several edits still get materialized and run
-    assert again_searched == [entry for entry in first_searched if entry[0] > 1]
+    # the second session runs every list of several edits again, which
+    # stores it; the third materializes nothing
+    assert second_searched == [entry for entry in first_searched if entry[0] > 1]
+    assert third_searched == []
     if config(mode, 1, meta).navigation == "evolutionary":
-        assert any(edits > 1 for edits, _ in again_searched)
+        assert any(edits > 1 for edits, _ in second_searched)
+
+
+def edit_lists(count, length):
+    """`count` distinct lists of `length` edits, which differ in their first edit."""
+    return [((first, "op", None),) + tuple((k, "op", "x") for k in range(length - 1))
+            for first in range(1000, 1000 + count)]
+
+
+@pytest.mark.parametrize("length", (2, 3, 4))
+def test_a_list_is_stored_at_its_second_sighting(length):
+    memo = VerdictMemo()
+    size = len(memo.seen)
+    lists = edit_lists(64, length)
+    keys = [memo.key(signature) for signature in lists]
+    assert len(set(keys)) == len(keys)
+    # the lists differ only in their first edit, which the bit must see
+    assert not any(memo.admits(key) for key in keys)
+    assert all(memo.admits(key) for key in keys)
+    assert len(memo.seen) == size
+    # a one-edit list is stored at first sight; its key is its edit's id
+    one = memo.key(lists[0][:1])
+    assert one == memo.ids[lists[0][0]] and memo.admits(one)
+
+
+def test_a_list_whose_ids_do_not_fit_has_no_key(monkeypatch):
+    monkeypatch.setattr(engine, "ID_BITS", 2)  # ids 1 to 3 fit
+    memo = VerdictMemo()
+    edits = [signature[0] for signature in edit_lists(4, 1)]
+    assert memo.key(tuple(edits[:3])) is not None
+    assert memo.key(tuple(edits[3:])) is None  # its id is 4
+    assert memo.key((edits[0], edits[3])) is None
+
+
+def test_the_search_stores_a_list_at_its_second_sighting(monkeypatch):
+    materialized = count_materialized_lists(monkeypatch)
+    project, suite, meta = load_bug("count-down")
+    lists = []
+    for _ in range(3):
+        materialized[0] = 0
+        navigate(project, suite, config("jgenprog", 1, meta))
+        (memo,) = project.analysis["verdicts"].values()
+        lists.append((materialized[0], sum(key >> ID_BITS > 0 for key in memo.verdicts),
+                      len(memo.seen)))
+    (ran, stored, size), again, third = lists
+    assert ran > 0 and stored == 0
+    assert again == (ran, ran, size)
+    assert third == (0, ran, size)
 
 
 def test_one_key_names_one_concrete_tree(corpus_names, monkeypatch):
