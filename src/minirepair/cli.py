@@ -29,10 +29,7 @@ import sys
 from pathlib import Path
 
 from minirepair.config import (
-    FORMULAS,
-    GRANULARITIES,
-    NAVIGATIONS,
-    SCOPES,
+    CHOICES,
     ConfigError,
     RunConfig,
     apply_overrides,
@@ -96,7 +93,10 @@ def load_project_dir(project_dir: str | Path) -> tuple[SourceProject, list[TestC
     meta = {}
     meta_path = root / "bug.json"
     if meta_path.is_file():
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        try:
+            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        except RecursionError:
+            raise ProjectLoadError(f"{meta_path}: invalid JSON: nested too deeply") from None
         if not isinstance(meta, dict):
             raise ProjectLoadError(f"{meta_path}: expected a JSON object")
         budget = meta.get("step_budget")
@@ -152,8 +152,8 @@ def cmd_repair(args) -> int:
         return 1
     try:
         outcome = navigate(project, suite, config)
-    except NoFailingTests:
-        print("nothing to repair: all tests pass", file=sys.stderr)
+    except NoFailingTests as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     out_dir = Path(args.out)
     write_report(outcome, out_dir)
@@ -291,12 +291,12 @@ def make_parser() -> argparse.ArgumentParser:
     repair.add_argument("--max-solutions", type=int, default=None)
     repair.add_argument("--max-iterations", type=int, default=None)
     repair.add_argument("--max-seconds", type=float, default=None)
-    repair.add_argument("--navigation", default=None, choices=NAVIGATIONS)
-    repair.add_argument("--scope", default=None, choices=SCOPES)
-    repair.add_argument("--granularity", default=None, choices=GRANULARITIES)
+    repair.add_argument("--navigation", default=None, choices=CHOICES["navigation"])
+    repair.add_argument("--scope", default=None, choices=CHOICES["ingredient_scope"])
+    repair.add_argument("--granularity", default=None, choices=CHOICES["granularity"])
     repair.add_argument("--jobs", type=int, default=None, help="accepted; has no effect")
     repair.add_argument("--step-budget", type=int, default=None)
-    repair.add_argument("--formula", default=None, choices=FORMULAS)
+    repair.add_argument("--formula", default=None, choices=CHOICES["formula"])
     repair.add_argument("--config", default=None, help="flat key=value config file")
     repair.add_argument("--out", default="repair-out")
     repair.set_defaults(func=cmd_repair)
@@ -306,8 +306,8 @@ def make_parser() -> argparse.ArgumentParser:
     bench.add_argument("--modes", required=True, help="comma-separated preset names")
     bench.add_argument("--seeds", default="1,2,3")
     bench.add_argument("--bugs", default=None, help="comma-separated bug names (default: all)")
-    bench.add_argument("--navigation", default=None, choices=NAVIGATIONS)
-    bench.add_argument("--scope", default=None, choices=SCOPES)
+    bench.add_argument("--navigation", default=None, choices=CHOICES["navigation"])
+    bench.add_argument("--scope", default=None, choices=CHOICES["ingredient_scope"])
     bench.add_argument("--max-iterations", type=int, default=None)
     bench.add_argument("--out", default="bench-out")
     bench.set_defaults(func=cmd_bench)

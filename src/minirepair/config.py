@@ -1,12 +1,13 @@
 """Run configuration: extension-point choices, budgets, and file parsing.
 
-A configuration names one component per extension point (granularity,
-navigation, point/operator selection, operator space, ingredient scope/
-selection/transformation, fault-localization formula) plus the search
+A configuration names one component per extension point plus the search
 budgets.  Presets fill these in; explicit config keys and CLI flags
-override preset values, in that order.  Where a module dispatches an
-extension point through a table (`operators.SPACES`, `faultloc.FORMULAS`),
-the table's keys are the names listed here.
+override preset values, in that order.  Each extension point is a table
+in the module that implements it, and its keys are the names a config
+accepts (`CHOICES`): `engine.NAVIGATIONS`, `engine.GRANULARITIES`,
+`engine.POINT_SELECTIONS`, `operators.SPACES`, `engine.OPERATOR_SELECTIONS`,
+`faultloc.FORMULAS`, `ingredients.SCOPES`, `ingredients.SELECTIONS` and
+`ingredients.TRANSFORMS`.
 
 The config file format is a flat `key = value` file: one pair per line,
 `#` starts a comment, booleans are `true`/`false`, everything else is an
@@ -19,7 +20,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from minirepair import faultloc, operators
+from minirepair import engine, faultloc, ingredients, operators
 from minirepair.lang.interp import DEFAULT_STEP_BUDGET
 
 
@@ -27,27 +28,22 @@ class ConfigError(Exception):
     pass
 
 
-NAVIGATIONS = ("exhaustive", "selective", "evolutionary")
-POINT_SELECTIONS = ("uniform-random", "weighted-random", "sequential")
-OPERATOR_SELECTIONS = ("uniform-random", "weighted-random", "sequential")
-GRANULARITIES = ("statement", "expression", "logical-relational")
-OPERATOR_SPACES = tuple(operators.SPACES)
-SCOPES = ("file", "module", "global")
-INGREDIENT_SELECTIONS = ("uniform", "similarity", "name-probability")
-INGREDIENT_TRANSFORMS = ("none", "random-var", "name-probability", "name-similarity")
-FORMULAS = tuple(faultloc.FORMULAS)
-# the enumerated keys, in the order `RunConfig.validate` checks them; an
-# ingredient key may also be None, for the engine's default per space
+# the enumerated keys, in the order `RunConfig.validate` checks them, and
+# the names each accepts; an ingredient key may also be None, for the
+# engine's default per space
 CHOICES = {
-    "navigation": NAVIGATIONS,
-    "granularity": GRANULARITIES,
-    "point_selection": POINT_SELECTIONS,
-    "operator_space": OPERATOR_SPACES,
-    "operator_selection": OPERATOR_SELECTIONS,
-    "formula": FORMULAS,
-    "ingredient_scope": SCOPES,
-    "ingredient_selection": INGREDIENT_SELECTIONS,
-    "ingredient_transform": INGREDIENT_TRANSFORMS,
+    key: tuple(table)
+    for key, table in (
+        ("navigation", engine.NAVIGATIONS),
+        ("granularity", engine.GRANULARITIES),
+        ("point_selection", engine.POINT_SELECTIONS),
+        ("operator_space", operators.SPACES),
+        ("operator_selection", engine.OPERATOR_SELECTIONS),
+        ("formula", faultloc.FORMULAS),
+        ("ingredient_scope", ingredients.SCOPES),
+        ("ingredient_selection", ingredients.SELECTIONS),
+        ("ingredient_transform", ingredients.TRANSFORMS),
+    )
 }
 INT_FIELDS = (
     "max_suspicious", "seed", "max_solutions", "max_iterations", "population",
@@ -116,8 +112,23 @@ class RunConfig:
             raise ConfigError(f"max_seconds must be a finite number >= 0, got {self.max_seconds}")
         if not 0.0 <= self.p_mut <= 1.0 or not 0.0 <= self.p_cross <= 1.0:
             raise ConfigError("p_mut and p_cross must be in [0, 1]")
-        if self.operator_selection == "weighted-random" and not self.operator_weights:
-            raise ConfigError("weighted-random operator selection needs operator_weights")
+        if self.operator_selection == "weighted-random":
+            # one finite weight >= 0 per operator of the space, summing to 1
+            weights = self.operator_weights
+            if not weights:
+                raise ConfigError("weighted-random operator selection needs operator_weights")
+            names = [op.name for op in operators.SPACES[self.operator_space]().operators]
+            missing = [name for name in names if name not in weights]
+            if missing:
+                raise ConfigError(f"operator_weights missing entries for {missing}")
+            for name in names:
+                value = weights[name]
+                if type(value) not in (int, float) or not (math.isfinite(value) and value >= 0):
+                    raise ConfigError(f"operator_weights[{name!r}] must be a finite number"
+                                      f" >= 0, got {value!r}")
+            total = sum(weights[name] for name in names)
+            if abs(total - 1.0) > 1e-9:
+                raise ConfigError(f"operator weights must sum to 1, got {total}")
 
     def to_dict(self) -> dict:
         return asdict(self)

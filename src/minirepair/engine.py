@@ -33,9 +33,8 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from minirepair.config import ConfigError, RunConfig
 from minirepair.faultloc import (
     NoFailingTests,
     SuspiciousLocation,
@@ -58,7 +57,7 @@ from minirepair.ingredients import (
     substitution_space_size,
     transform_ingredient,
 )
-from minirepair.lang.ast import LOGICAL_OPS, RELATIONAL_OPS, Node, SourceProject, Type
+from minirepair.lang.ast import LOGICAL_OPS, RELATIONAL_OPS, Node, SourceProject, Type, pre_order
 from minirepair.lang.printer import print_sources, print_tree
 from minirepair.lang.types import TypeCheckError, cached_types, check_project, env_at
 from minirepair.operators import (
@@ -70,6 +69,9 @@ from minirepair.operators import (
 )
 from minirepair.rng import RngStreams, SplitMix64, prefix_sums
 from minirepair.validate import Baseline, fitness, refine_patches, validate_variant
+
+if TYPE_CHECKING:
+    from minirepair.config import RunConfig
 
 
 @dataclass(frozen=True)
@@ -149,32 +151,27 @@ class SearchStats:
 # -- modification points -------------------------------------------------------
 
 
-def _nearest_statement_is(project: SourceProject, expr: Node, stmt: Node) -> bool:
-    enclosing = project.enclosing_statement(project.parents[expr.node_id])
-    return enclosing is not None and enclosing.node_id == stmt.node_id
+def _own_expressions(project: SourceProject, stmt: Node) -> list[Node]:
+    """The expressions of `stmt` outside its nested statements, by node id."""
+    own = [n for n in pre_order(stmt) if n.is_expression()
+           and project.enclosing_statement(project.parents[n.node_id]) is stmt]
+    return sorted(own, key=lambda n: n.node_id)
 
 
-def _expression_targets(project: SourceProject, stmt: Node, granularity: str) -> list[Node]:
-    from minirepair.lang.ast import pre_order
-
-    out = []
-    for node in pre_order(stmt):
-        if not node.is_expression():
-            continue
-        if not _nearest_statement_is(project, node, stmt):
-            continue
-        if granularity == "expression":
-            if node.kind in COMPOSITE_EXPRESSION_KINDS and not is_assignment_target_base(
-                project, node
-            ):
-                out.append(node)
-        else:  # logical-relational
-            if node.kind == "binary-op" and node.op in RELATIONAL_OPS + LOGICAL_OPS:
-                out.append(node)
-            elif node.kind == "unary-op" and node.op == "!":
-                out.append(node)
-    out.sort(key=lambda n: n.node_id)
-    return out
+# the granularity extension point: config lists its keys; each maps a
+# suspicious statement to the code elements that become its points
+GRANULARITIES = {
+    "statement": lambda project, stmt: [stmt],
+    "expression": lambda project, stmt: [
+        n for n in _own_expressions(project, stmt)
+        if n.kind in COMPOSITE_EXPRESSION_KINDS and not is_assignment_target_base(project, n)
+    ],
+    "logical-relational": lambda project, stmt: [
+        n for n in _own_expressions(project, stmt)
+        if (n.kind == "binary-op" and n.op in RELATIONAL_OPS + LOGICAL_OPS)
+        or (n.kind == "unary-op" and n.op == "!")
+    ],
+}
 
 
 def create_modification_points(
@@ -198,20 +195,49 @@ def create_modification_points(
             function=fn.name,
         )
 
+    targets = GRANULARITIES[granularity]
     points: list[ModificationPoint] = []
     for loc in suspicious:
         stmt = project.node(loc.statement_id)
-        if not stmt.is_statement():
-            continue
-        if granularity == "statement":
-            points.append(make_point(stmt, loc.suspiciousness))
-        else:
-            for target in _expression_targets(project, stmt, granularity):
-                points.append(make_point(target, loc.suspiciousness))
+        if stmt.is_statement():
+            points.extend(make_point(target, loc.suspiciousness)
+                          for target in targets(project, stmt))
     return points
 
 
 # -- selection strategies --------------------------------------------------------
+
+
+def _uniform_points(points, count, rng, prefix):
+    remaining = list(points)
+    return [remaining.pop(rng.below(len(remaining))) for _ in range(count)]
+
+
+def _weighted_points(points, count, rng, prefix):
+    if prefix is None:
+        prefix = prefix_sums(p.suspiciousness for p in points)
+    if not prefix[-1] > 0:
+        return _uniform_points(points, count, rng, prefix)
+    if count == 1:
+        return [points[rng.prefix_index(prefix)]]
+    remaining = list(points)
+    weights = [p.suspiciousness for p in points]
+    picked = []
+    for _ in range(count):
+        idx = rng.weighted_index(weights)
+        picked.append(remaining.pop(idx))
+        weights.pop(idx)
+    return picked
+
+
+# the point-selection extension point: config lists its keys
+POINT_SELECTIONS = {
+    "uniform-random": _uniform_points,
+    "weighted-random": _weighted_points,
+    "sequential": lambda points, count, rng, prefix: sorted(
+        points, key=lambda p: (-p.suspiciousness, p.node_id)
+    )[:count],
+}
 
 
 def select_points(
@@ -230,29 +256,19 @@ def select_points(
     times build it once; a one-point draw then bisects it."""
     if not points:
         raise ValueError("no modification points to select from")
-    count = min(count, len(points))
-    if strategy == "sequential":
-        ordered = sorted(points, key=lambda p: (-p.suspiciousness, p.node_id))
-        return ordered[:count]
-    if strategy not in ("uniform-random", "weighted-random"):
-        raise ConfigError(f"unknown point selection strategy {strategy!r}")
-    if prefix is None:
-        prefix = prefix_sums(p.suspiciousness for p in points)
-    use_weights = strategy == "weighted-random" and prefix[-1] > 0
-    if count == 1:
-        idx = rng.prefix_index(prefix) if use_weights else rng.below(len(points))
-        return [points[idx]]
-    remaining = list(points)
-    weights = [p.suspiciousness for p in points]
-    picked = []
-    for _ in range(count):
-        if use_weights:
-            idx = rng.weighted_index(weights)
-        else:
-            idx = rng.below(len(remaining))
-        picked.append(remaining.pop(idx))
-        weights.pop(idx)
-    return picked
+    return POINT_SELECTIONS[strategy](points, min(count, len(points)), rng, prefix)
+
+
+def _weighted_operator(ops, rng, weights, counter):
+    return ops[rng.weighted_index([weights[op.name] for op in ops])]
+
+
+# the operator-selection extension point: config lists its keys
+OPERATOR_SELECTIONS = {
+    "uniform-random": lambda ops, rng, weights, counter: rng.choice(ops),
+    "weighted-random": _weighted_operator,
+    "sequential": lambda ops, rng, weights, counter: ops[counter % len(ops)],
+}
 
 
 def select_operator(
@@ -262,25 +278,10 @@ def select_operator(
     weights: Optional[dict[str, float]] = None,
     counter: int = 0,
 ) -> RepairOperator:
-    """uniform-random, weighted-random (user-supplied distribution over the
-    space), or sequential (fixed space order, advancing per iteration)."""
-    ops = space.operators
-    if strategy == "uniform-random":
-        return rng.choice(ops)
-    if strategy == "weighted-random":
-        if not weights:
-            raise ConfigError("weighted-random operator selection without weights")
-        missing = [op.name for op in ops if op.name not in weights]
-        if missing:
-            raise ConfigError(f"operator_weights missing entries for {missing}")
-        values = [weights[op.name] for op in ops]
-        total = sum(values)
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigError(f"operator weights must sum to 1, got {total}")
-        return ops[rng.weighted_index(values)]
-    if strategy == "sequential":
-        return ops[counter % len(ops)]
-    raise ConfigError(f"unknown operator selection strategy {strategy!r}")
+    """uniform-random, weighted-random (`weights`, a distribution over the
+    space that `RunConfig.validate` checked), or sequential (fixed space
+    order, advancing per iteration)."""
+    return OPERATOR_SELECTIONS[strategy](space.operators, rng, weights, counter)
 
 
 # -- the repair session -----------------------------------------------------------
@@ -764,13 +765,7 @@ class RepairSession:
             if not self.points:
                 self.stats.stop_reason = "no-search-space"
             else:
-                navigation = self.config.navigation
-                if navigation == "exhaustive":
-                    self._run_exhaustive()
-                elif navigation == "selective":
-                    self._run_selective()
-                else:
-                    self._run_evolutionary()
+                NAVIGATIONS[self.config.navigation](self)
         finally:
             self._verdicts = None
         return RepairOutcome(refine_patches(self), self.stats, self.config, self.solutions, self)
@@ -941,6 +936,14 @@ class RepairSession:
             if not produced_material and self.space_exhausted():
                 self.stats.stop_reason = "exhausted"
                 return
+
+
+# the navigation extension point: config lists its keys
+NAVIGATIONS = {
+    "exhaustive": RepairSession._run_exhaustive,
+    "selective": RepairSession._run_selective,
+    "evolutionary": RepairSession._run_evolutionary,
+}
 
 
 def navigate(project: SourceProject, suite: Sequence[TestCase], config: RunConfig) -> RepairOutcome:

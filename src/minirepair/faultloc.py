@@ -26,6 +26,7 @@ from minirepair.lang.interp import (
     Unit,
     execute,
 )
+from minirepair.lang.parser import MAX_NESTING
 
 
 class SuiteError(Exception):
@@ -152,7 +153,7 @@ def tarantula(ef: int, ep: int, nf: int, np: int) -> float:
     return fail_ratio / (fail_ratio + pass_ratio)
 
 
-# the fault-localization extension point: config.FORMULAS lists its keys
+# the fault-localization extension point: config lists its keys
 FORMULAS = {"ochiai": ochiai, "tarantula": tarantula}
 
 
@@ -181,7 +182,9 @@ def filter_suspicious(
 
 # -- tests.json -------------------------------------------------------------
 
-def _value_from_json(raw, where: str):
+def _value_from_json(raw, where: str, depth: int = 0):
+    """The MiniLang value of a decoded JSON value inside `depth` arrays;
+    an array must be uniform (`_type_of`)."""
     if raw is None:
         return UNIT
     if isinstance(raw, int) and not INT64_MIN <= raw <= INT64_MAX:
@@ -192,8 +195,38 @@ def _value_from_json(raw, where: str):
     if isinstance(raw, (bool, int, float, str)):
         return raw
     if isinstance(raw, list):
-        return [_value_from_json(item, where) for item in raw]
+        # the deepest array type a parameter can have
+        if depth == MAX_NESTING:
+            raise SuiteError(f"{where}: an array is nested deeper than {MAX_NESTING} levels")
+        value = [_value_from_json(item, where, depth + 1) for item in raw]
+        if depth == 0:
+            _type_of(value, where)
+        return value
     raise SuiteError(f"{where}: unsupported JSON value {raw!r}")
+
+
+def _join(a, b, where: str):
+    """The one type of values of types `a` and `b`, as from `_type_of`;
+    None fits any type."""
+    if a is None or a == b:
+        return b
+    if b is None:
+        return a
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return ("array", _join(a[1], b[1], where))
+    raise SuiteError(f"{where}: an array's elements differ in type")
+
+
+def _type_of(value, where: str):
+    """A scalar's Python type, or an array's ("array", element type), where
+    the element type of an empty array is None; SuiteError when the
+    elements of an array differ in type (an empty array fits any array)."""
+    if not isinstance(value, list):
+        return type(value)
+    element = None
+    for item in value:
+        element = _join(element, _type_of(item, where), where)
+    return ("array", element)
 
 
 def suite_from_json(doc) -> list[TestCase]:
@@ -242,4 +275,6 @@ def load_suite(path) -> list[TestCase]:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError, or an int of over 4,300 digits
         raise SuiteError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise SuiteError(f"{path}: invalid JSON: nested too deeply") from None
     return suite_from_json(doc)

@@ -25,7 +25,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from minirepair.config import SCOPES
 from minirepair.lang.ast import EXPRESSION_KINDS, Node, SourceProject, Type, pre_order
 from minirepair.lang.lexer import tokenize
 from minirepair.lang.printer import print_tree
@@ -35,8 +34,6 @@ from minirepair.rng import SplitMix64
 # non-atomic expression kinds: the ones worth mining templates from and
 # targeting as expression-granularity modification points
 COMPOSITE_EXPRESSION_KINDS = frozenset({"binary-op", "unary-op", "call", "index"})
-
-_GLOBAL_KEY = "*"
 
 # bound on enumerated placeholder/variable assignments per ingredient
 MAX_INSTANTIATIONS = 200
@@ -70,6 +67,15 @@ class Ingredient:
         return Candidates(self, (), [()], [self.printed])
 
 
+# the ingredient-scope extension point: config lists its keys; each maps
+# a point's file and module to the key of the pool list it draws from
+SCOPES = {
+    "file": lambda file_path, module: file_path,
+    "module": lambda file_path, module: module,
+    "global": lambda file_path, module: "*",
+}
+
+
 @dataclass
 class IngredientPool:
     scope: str
@@ -77,11 +83,7 @@ class IngredientPool:
     entries_by_key: dict[str, list[Ingredient]] = field(default_factory=dict)
 
     def scope_key(self, file_path: str, module: str) -> str:
-        if self.scope == "file":
-            return file_path
-        if self.scope == "module":
-            return module
-        return _GLOBAL_KEY
+        return SCOPES[self.scope](file_path, module)
 
     def entries(self, file_path: str, module: str) -> list[Ingredient]:
         return self.entries_by_key.get(self.scope_key(file_path, module), [])
@@ -111,8 +113,6 @@ def build_pool(
 ) -> IngredientPool:
     """Collect every subtree of the granularity, grouped by scope key and
     deduplicated by printed form (first occurrence in node-id order wins)."""
-    if scope not in SCOPES:
-        raise ValueError(f"unknown ingredient scope {scope!r}")
     pool = IngredientPool(scope, granularity)
     seen: dict[str, set[str]] = {}
     for sf, fn, node in _harvest_nodes(project, granularity):
@@ -360,6 +360,30 @@ class AttemptCache:
 # -- selection -----------------------------------------------------------------
 
 
+def _uniform(untried: _Untried, point, rng, similarity, name_model) -> Ingredient:
+    return untried.entries[untried.order[rng.below(len(untried.order))]]
+
+
+def _most_similar(untried: _Untried, point, rng, similarity, name_model) -> Ingredient:
+    return untried.first(lambda e: (
+        -similarity.similarity(point.function, e.origin_function), e.origin_function, e.node_id
+    ))
+
+
+def _by_name_probability(untried: _Untried, point, rng, similarity, name_model) -> Ingredient:
+    entries, order = untried.entries, untried.order
+    weights = [name_model.score(entries[i].ref_names) for i in order]
+    return entries[order[rng.weighted_index(weights)]]
+
+
+# the ingredient-selection extension point: config lists its keys
+SELECTIONS = {
+    "uniform": _uniform,
+    "similarity": _most_similar,
+    "name-probability": _by_name_probability,
+}
+
+
 def select_ingredient(
     pool: IngredientPool,
     point,
@@ -380,29 +404,10 @@ def select_ingredient(
     name-probability draw over the untried entries in pool order;
     similarity takes the best-ranked untried entry.
     """
-    entries = pool.entries(point.file, point.module)
-    untried = cache.untried(point.node_id, op_name, entries)
-    order = untried.order
-    if not order:
+    untried = cache.untried(point.node_id, op_name, pool.entries(point.file, point.module))
+    if not untried.order:
         return None
-    if strategy == "uniform":
-        return entries[order[rng.below(len(order))]]
-    if strategy == "similarity":
-        if similarity is None:
-            raise ValueError("similarity selection needs a FunctionSimilarity index")
-        return untried.first(
-            lambda e: (
-                -similarity.similarity(point.function, e.origin_function),
-                e.origin_function,
-                e.node_id,
-            )
-        )
-    if strategy == "name-probability":
-        if name_model is None:
-            raise ValueError("name-probability selection needs a NameFrequencyModel")
-        weights = [name_model.score(entries[i].ref_names) for i in order]
-        return entries[order[rng.weighted_index(weights)]]
-    raise ValueError(f"unknown ingredient selection strategy {strategy!r}")
+    return SELECTIONS[strategy](untried, point, rng, similarity, name_model)
 
 
 # -- transformation --------------------------------------------------------------
@@ -443,27 +448,13 @@ def substitution_space_size(ingredient: Ingredient, env: dict[str, Type]) -> int
 
 
 def ranked_substitutions(
-    out_vars: list[tuple[str, Type]],
-    env: dict[str, Type],
-    strategy: str,
-    name_model: NameFrequencyModel | None = None,
+    out_vars: list[tuple[str, Type]], env: dict[str, Type], score
 ) -> list[tuple[str, ...]]:
     """Replacement names for `out_vars` (as from out_of_scope_vars), one
     tuple per substitution: at most MAX_INSTANTIATIONS of them, ranked by
-    descending name-frequency product (name-probability) or name-LCS
-    score (name-similarity), ties broken by the tuple itself.  With no
+    descending `score(names)`, ties broken by the tuple itself.  With no
     out-of-scope variables the one substitution is the empty tuple; when
     some variable's type has no in-scope name there are none."""
-    if strategy == "name-probability":
-        if name_model is None:
-            raise ValueError("name-probability transformation needs a NameFrequencyModel")
-        score = name_model.score
-    elif strategy == "name-similarity":
-        score = lambda names: math.prod(
-            lcs_length(orig, new) + 1 for (orig, _), new in zip(out_vars, names)
-        )
-    else:
-        raise ValueError(f"unknown ingredient transformation strategy {strategy!r}")
     pools = [_candidate_names(env, ty) for _, ty in out_vars]
     combos = list(itertools.islice(itertools.product(*pools), MAX_INSTANTIATIONS))
     combos.sort(key=lambda names: (-score(names), names))
@@ -496,6 +487,34 @@ class Candidates(Sequence):
         return substitute_variables(self.ingredient, mapping)
 
 
+def _random_substitution(out_vars, env, rng, name_model) -> list[tuple[str, ...]]:
+    drawn = []
+    for _, ty in out_vars:
+        in_scope = _candidate_names(env, ty)
+        if not in_scope:
+            return []
+        drawn.append(rng.choice(in_scope))
+    return [tuple(drawn)]
+
+
+def _by_name_similarity(out_vars, env, rng, name_model) -> list[tuple[str, ...]]:
+    return ranked_substitutions(out_vars, env, lambda names: math.prod(
+        lcs_length(orig, new) + 1 for (orig, _), new in zip(out_vars, names)
+    ))
+
+
+# the ingredient-transformation extension point: config lists its keys;
+# each gives the substitutions of an ingredient's out-of-scope variables
+TRANSFORMS = {
+    "none": lambda out_vars, env, rng, name_model: [],
+    "random-var": _random_substitution,
+    "name-probability": lambda out_vars, env, rng, name_model: ranked_substitutions(
+        out_vars, env, name_model.score
+    ),
+    "name-similarity": _by_name_similarity,
+}
+
+
 def transform_ingredient(
     ingredient: Ingredient,
     env: dict[str, Type],
@@ -512,23 +531,11 @@ def transform_ingredient(
                     here, not when read); nothing when some variable has no
                     same-typed name in scope
     name-probability / name-similarity
-                  : the substitutions of ranked_substitutions, in its order
+                  : the substitutions of ranked_substitutions, ranked by
+                    name-frequency product or by name-LCS score
     """
     out_vars = out_of_scope_vars(ingredient, env)
     if not out_vars:
         return ingredient.as_is
-    substitutions: list[tuple[str, ...]] = []
-    if strategy == "random-var":
-        if rng is None:
-            raise ValueError("random-var transformation needs an rng stream")
-        drawn = []
-        for _, ty in out_vars:
-            in_scope = _candidate_names(env, ty)
-            if not in_scope:
-                break
-            drawn.append(rng.choice(in_scope))
-        else:
-            substitutions = [tuple(drawn)]
-    elif strategy != "none":
-        substitutions = ranked_substitutions(out_vars, env, strategy, name_model)
+    substitutions = TRANSFORMS[strategy](out_vars, env, rng, name_model)
     return Candidates(ingredient, tuple(name for name, _ in out_vars), substitutions)

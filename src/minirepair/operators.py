@@ -287,7 +287,7 @@ def space_r_expression() -> OperatorSpace:
     return OperatorSpace("r-expression", (ReplaceExpression(),))
 
 
-# the operator-space extension point: config.OPERATOR_SPACES lists its keys
+# the operator-space extension point: config lists its keys
 SPACES = {
     "irr-statements": space_irr_statements,
     "suppression": space_suppression,

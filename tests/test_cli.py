@@ -62,6 +62,16 @@ def test_bench_on_an_all_passing_suite_exits_one_without_traceback(tmp_path, cap
     assert not (tmp_path / "bench").exists()
 
 
+def test_repair_on_an_all_passing_suite_prints_an_error(tmp_path, capsys):
+    write_project(tmp_path / "healthy", "fn f(x: int) -> int {\n    return x;\n}\n",
+                  [{"name": "t", "entry": "f", "args": [1], "expect": 1}])
+    code = run_cli("repair", str(tmp_path / "healthy"), "--mode", "jmutrepair",
+                   "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert capsys.readouterr().err == "error: no failing tests: nothing to repair\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_error_exits_one(tmp_path):
     project_dir = tmp_path / "broken"
     (project_dir / "src").mkdir(parents=True)
@@ -424,6 +434,30 @@ def test_bad_suite_exits_one_without_traceback(tmp_path, capsys, tests_json, mes
     )
     (project_dir / "tests.json").write_text(tests_json)
     code = run_cli("repair", str(project_dir), "--mode", "jmutrepair",
+                   "--out", str(tmp_path / "out"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "name,text,message",
+    [("tests.json", "[" * 100_000, "tests.json: invalid JSON: nested too deeply"),
+     ("bug.json", "[" * 100_000, "bug.json: invalid JSON: nested too deeply"),
+     ("tests.json",
+      '[{"name": "t", "entry": "sign", "args": [%s], "expect": 1}]' % ("[" * 900 + "]" * 900),
+      "test #0: an array is nested deeper than 32 levels"),
+     ("tests.json",
+      json.dumps([{"name": "t", "entry": "sign", "args": [[1, 2.5, "x"]], "expect": 1}]),
+      "test #0: an array's elements differ in type")],
+    ids=["deep-tests-json", "deep-bug-json", "deep-argument", "mixed-argument"],
+)
+def test_bad_json_exits_one_without_traceback(tmp_path, capsys, name, text, message):
+    corpus = _bug_copy(tmp_path, (CORPUS / "abs-sign" / "bug.json").read_text())
+    (corpus / "abs-sign" / name).write_text(text)
+    code = run_cli("repair", str(corpus / "abs-sign"), "--mode", "jmutrepair",
                    "--out", str(tmp_path / "out"))
     assert code == 1
     err = capsys.readouterr().err

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from minirepair.config import ConfigError
+from minirepair.config import ConfigError, RunConfig
 from minirepair.engine import (
     ModificationPoint,
     RepairSession,
@@ -167,13 +167,31 @@ def test_select_operator_weighted():
     rng = SplitMix64(4)
     for _ in range(50):
         assert select_operator(space, "weighted-random", rng, weights=weights).name == "replace"
-    with pytest.raises(ConfigError):
-        select_operator(space, "weighted-random", rng, weights=None)
-    with pytest.raises(ConfigError):
-        select_operator(space, "weighted-random", rng, weights={"replace": 1.0})
-    with pytest.raises(ConfigError):
-        select_operator(space, "weighted-random", rng,
-                        weights={"insert-before": 0.5, "replace": 0.2, "remove": 0.1})
+    for bad, message in [
+        (None, "weighted-random operator selection needs operator_weights"),
+        ({"replace": 1.0}, "operator_weights missing entries for ['insert-before', 'remove']"),
+        ({"insert-before": 0.5, "replace": 0.2, "remove": 0.1},
+         "operator weights must sum to 1, got 0.7999999999999999"),
+    ]:
+        with pytest.raises(ConfigError) as info:
+            RunConfig(operator_selection="weighted-random", operator_weights=bad).validate()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("weights", [
+    {"insert-before": float("nan"), "replace": 1.0, "remove": 0.0},
+    {"insert-before": -0.5, "replace": 0.5, "remove": 1.0},
+    {"insert-before": float("inf"), "replace": 0.5, "remove": 0.5},
+    {"insert-before": "0.5", "replace": 0.5, "remove": 0.0},
+    {"insert-before": True, "replace": 0.0, "remove": 0.0},
+])
+def test_weights_must_be_finite_numbers_at_least_zero(weights):
+    """The nan weights once made every weighted draw pick `remove`, whose
+    weight is 0, and the negative ones left `replace` unreachable, although
+    both sums pass the sum-to-1 check."""
+    config = RunConfig(operator_selection="weighted-random", operator_weights=weights)
+    with pytest.raises(ConfigError, match=r"operator_weights\['insert-before'\] must be a finite"):
+        config.validate()
 
 
 def test_select_operator_sequential_cycles_in_space_order():

@@ -20,6 +20,8 @@ from minirepair.faultloc import (
     values_equal,
 )
 from minirepair.lang import UNIT, execute, parse_project
+from minirepair.lang.ast import MiniSyntaxError
+from minirepair.lang.parser import MAX_NESTING
 
 from conftest import load_bug
 
@@ -228,6 +230,60 @@ def test_suite_ints_at_the_64_bit_bounds_load():
     )
     assert suite[0].args == (-2**63, [2**63 - 1])
     assert suite[0].expect == 2**63 - 1
+
+
+def nested(depth: int):
+    value = 1
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def test_an_array_value_nests_as_deep_as_a_parameter_type():
+    def source(depth):
+        return f"fn f(x: {'[' * depth}int{']' * depth}) -> int {{\n    return 7;\n}}\n"
+
+    project = parse_project([("main.mini", source(MAX_NESTING))])
+    suite = suite_from_json([{"name": "a", "entry": "f", "args": [nested(MAX_NESTING)],
+                              "expect": 7}])
+    assert run_suite(project, suite).results[0].passed
+    with pytest.raises(MiniSyntaxError, match="nesting deeper"):
+        parse_project([("main.mini", source(MAX_NESTING + 1))])
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 900])
+@pytest.mark.parametrize("key", ["args", "expect"])
+def test_suite_arrays_nested_deeper_than_a_type_are_rejected(key, depth):
+    # 900 levels decode, and once overflowed Python's stack in the loader
+    entry = {"name": "a", "entry": "f", "args": [], "expect": 1}
+    entry[key] = [nested(depth)] if key == "args" else nested(depth)
+    with pytest.raises(SuiteError, match=f"nested deeper than {MAX_NESTING} levels"):
+        suite_from_json([entry])
+
+
+def test_a_suite_file_nested_too_deeply_is_a_suite_error(tmp_path):
+    path = tmp_path / "tests.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(SuiteError, match="nested too deeply"):
+        load_suite(path)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[1, 2.5, "x"], [[1], 2], [1, True], [[1], ["x"]], [[[]], [1]], [[1], [[2]]]],
+)
+@pytest.mark.parametrize("key", ["args", "expect"])
+def test_suite_arrays_of_mixed_element_types_are_rejected(key, value):
+    entry = {"name": "a", "entry": "f", "args": [], "expect": 1}
+    entry[key] = [value] if key == "args" else value
+    with pytest.raises(SuiteError, match="elements differ in type"):
+        suite_from_json([entry])
+
+
+@pytest.mark.parametrize("value", [[], [[], [1]], [[1], []], [[[]], [[1]], []], [[], [[1.5]]]])
+def test_an_empty_array_fits_any_array_type(value):
+    suite = suite_from_json([{"name": "a", "entry": "f", "args": [value], "expect": value}])
+    assert suite[0].args == (value,) and suite[0].expect == value
 
 
 def test_values_equal_is_type_strict():

@@ -1,6 +1,7 @@
 """The documented vocabularies agree with their one definition in code:
-the enumerated config keys with what `RunConfig.validate` accepts, and the
-`expect_error` kinds with the kinds the interpreter raises."""
+the enumerated config keys with the keys of the extension-point tables and
+what `RunConfig.validate` accepts, and the `expect_error` kinds with the
+kinds the interpreter raises."""
 
 import ast
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from minirepair import engine, faultloc, ingredients, operators
 from minirepair.config import CHOICES, ConfigError, RunConfig
 from minirepair.lang import interp
 
@@ -41,6 +43,29 @@ def test_config_doc_enumerates_exactly_the_validated_keys():
 @pytest.mark.parametrize("key", list(CHOICES))
 def test_config_doc_values_are_the_validated_values(key):
     assert config_doc_values()[key] == validated_values(key) == CHOICES[key]
+
+
+# each enumerated config key and the table that dispatches its values
+TABLES = {
+    "navigation": engine.NAVIGATIONS,
+    "granularity": engine.GRANULARITIES,
+    "point_selection": engine.POINT_SELECTIONS,
+    "operator_space": operators.SPACES,
+    "operator_selection": engine.OPERATOR_SELECTIONS,
+    "formula": faultloc.FORMULAS,
+    "ingredient_scope": ingredients.SCOPES,
+    "ingredient_selection": ingredients.SELECTIONS,
+    "ingredient_transform": ingredients.TRANSFORMS,
+}
+
+
+@pytest.mark.parametrize("key", list(TABLES))
+def test_config_choices_are_the_keys_of_the_extension_point_table(key):
+    assert CHOICES[key] == tuple(TABLES[key])
+
+
+def test_every_enumerated_key_has_a_table():
+    assert list(CHOICES) == list(TABLES)
 
 
 def test_tests_schema_lists_the_interpreters_error_kinds():
