@@ -79,7 +79,10 @@ def load_project_dir(project_dir: str | Path) -> tuple[SourceProject, list[TestC
     files = []
     for path in sorted(src_root.rglob("*.mini")):
         rel = path.relative_to(src_root).as_posix()
-        files.append((rel, path.read_text(encoding="utf-8")))
+        try:
+            files.append((rel, path.read_text(encoding="utf-8")))
+        except UnicodeDecodeError as exc:
+            raise ProjectLoadError(f"{path}: {exc}") from None
     if not files:
         raise ProjectLoadError(f"{src_root}: no .mini files")
     project = parse_project(files)
@@ -95,6 +98,8 @@ def load_project_dir(project_dir: str | Path) -> tuple[SourceProject, list[TestC
     if meta_path.is_file():
         try:
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # bad JSON or UTF-8, or an int of over 4,300 digits
+            raise ProjectLoadError(f"{meta_path}: invalid JSON: {exc}") from None
         except RecursionError:
             raise ProjectLoadError(f"{meta_path}: invalid JSON: nested too deeply") from None
         if not isinstance(meta, dict):

@@ -18,11 +18,14 @@ Sessions on one project object share what depends on the project alone
 point, with the printed forms read so far, so a candidate is printed once
 per project and its tree is built only when a variant is materialized.
 They also share what they learn by running the suite: the baseline
-spectrum and the verdicts of edit lists (`VerdictMemo`): of every one-edit
-variant, and of each list of several edits once it was seen a second
-time, since most such lists are never seen again.  Where a deep MiniLang
+spectrum, with the suspiciousness ranking and the modification points
+derived from it for each formula, cut-off and granularity; the verdicts of
+edit lists (`VerdictMemo`): of every one-edit variant, and of each list of
+several edits once it was seen a second time, since most such lists are
+never seen again; and the results of refinement's full-suite runs, kept
+with the verdicts (`validate.refine_patches`).  Where a deep MiniLang
 recursion hits Python's RecursionError depends on the caller's stack, so
-those two are shared only between sessions started from the same stack
+all of these are shared only between sessions started from the same stack
 position (`stack_position`); plans hold no verdicts and need no such key.
 A session's outcome is that of a fresh project, whichever sessions ran
 before it.
@@ -140,9 +143,10 @@ class SearchStats:
     stop_reason: str = ""
 
     def op_bucket(self, name: str) -> dict:
-        return self.per_operator.setdefault(
-            name, {"created": 0, "validated": 0, "solutions": 0}
-        )
+        bucket = self.per_operator.get(name)
+        if bucket is None:
+            bucket = self.per_operator[name] = {"created": 0, "validated": 0, "solutions": 0}
+        return bucket
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -299,6 +303,12 @@ def stack_position(frame) -> tuple:
     return tuple(chain)
 
 
+def edit_list(transformations) -> tuple:
+    """The edits of a transformation list, in order: (point node id,
+    operator name, printed ingredient) each, what `apply_edits` applies."""
+    return tuple((t.point.node_id, t.operator.name, t.concrete_printed) for t in transformations)
+
+
 REJECTED = -1  # verdict memo value of a variant the type gate rejects
 ID_BITS = 21  # width of one edit's id in the key of an edit list
 SEEN_BITS = 17  # log2 of the size of a verdict memo's admission bit array
@@ -320,14 +330,23 @@ class VerdictMemo:
     one is stored only when it is seen a second time ("cache on second
     hit"): its first sighting sets a bit of the fixed-size array `seen`,
     and a set bit admits it.  Another list that shares the bit only gets
-    stored a sighting early, so every stored verdict is still exact."""
+    stored a sighting early, so every stored verdict is still exact.
 
-    __slots__ = ("ids", "verdicts", "seen")
+    The memo also keeps, by the same keys and from first sight, the
+    results of refinement's full-suite runs (`validate.refine_patches`):
+    `trials` of minimization, `finals` of the minimized lists.  They run
+    on other frame paths than the search and than each other, so where a
+    deep recursion overflows they can differ, and no kind answers for
+    another."""
+
+    __slots__ = ("ids", "verdicts", "seen", "trials", "finals")
 
     def __init__(self) -> None:
         self.ids: dict[tuple, int] = {}
         self.verdicts: dict[int, int] = {}
         self.seen = bytearray(1 << (SEEN_BITS - 3))
+        self.trials: dict[int, tuple[int, int]] = {}
+        self.finals: dict[int, tuple] = {}
 
     def key(self, signature: tuple) -> Optional[int]:
         """The key of the edit list `signature`, or None if it has none."""
@@ -401,7 +420,7 @@ class RepairSession:
         self._pool: Optional[IngredientPool] = None
         self._op_counter = 0
         self._start_time = 0.0
-        self._verdicts: Optional[VerdictMemo] = None  # set by run()
+        self.verdicts: Optional[VerdictMemo] = None  # set while run() runs
 
         # the spectrum of the suite, shared by the sessions constructed at
         # this stack position; run_suite stays one frame below __init__
@@ -418,10 +437,18 @@ class RepairSession:
             raise NoFailingTests("no failing tests: nothing to repair")
         self.baseline_sources = self._shared("sources", lambda: print_sources(project))
 
-        ranked = suspiciousness(matrix, config.formula)
-        self.suspicious = filter_suspicious(ranked, config.max_suspicious)
-        self.points = create_modification_points(project, self.suspicious, config.granularity)
-        self._point_prefix = prefix_sums(p.suspiciousness for p in self.points)
+        # the ranking and its points depend on the spectrum and on these
+        # three fields alone, so sessions on the baseline share them
+        key = (config.formula, config.max_suspicious, config.granularity)
+        ranking = self.baseline.points.get(key)
+        if ranking is None:
+            suspicious = filter_suspicious(suspiciousness(matrix, config.formula),
+                                           config.max_suspicious)
+            points = create_modification_points(project, suspicious, config.granularity)
+            ranking = self.baseline.points[key] = (
+                suspicious, points, prefix_sums(p.suspiciousness for p in points)
+            )
+        self.suspicious, self.points, self._point_prefix = ranking
 
         self._scope = config.ingredient_scope or (
             "global" if config.operator_space == "r-expression" else "module"
@@ -437,8 +464,9 @@ class RepairSession:
         """The project's analysis under `key`, built on first use by any
         session.  It depends on the project alone, which no session
         modifies; sessions only read it, except that they add entries to
-        the memos of suite runs ("baselines", "verdicts"), of applicability
-        ("applicable") and of candidate plans ("plans")."""
+        the memos of suite runs ("baselines", with the points of each
+        baseline, and "verdicts", with refinement's results), of
+        applicability ("applicable") and of candidate plans ("plans")."""
         analysis = self.project.analysis
         if key not in analysis:
             analysis[key] = build()
@@ -682,10 +710,7 @@ class RepairSession:
         running it would.  A miss runs the variant and stores its verdict
         if the memo admits it: a one-edit list at once, a list of several
         edits at its second sighting (`VerdictMemo`)."""
-        signature = tuple(
-            (t.point.node_id, t.operator.name, t.concrete_printed)
-            for t in variant.transformations
-        )
+        signature = edit_list(variant.transformations)
         if signature in self._validated_signatures:
             self.stats.duplicates += 1
             variant.fitness = self._validated_signatures[signature]
@@ -693,7 +718,7 @@ class RepairSession:
         self.stats.variants_generated += 1
         for t in variant.transformations:
             self.stats.op_bucket(t.operator.name)["created"] += 1
-        memo = self._verdicts
+        memo = self.verdicts
         key = memo.key(signature)
         verdict = memo.verdicts.get(key)
         if verdict is None:
@@ -728,6 +753,11 @@ class RepairSession:
                 self.stats.iteration_at_first_patch = iteration
         return variant.fitness
 
+    def memo_key(self, transformations) -> Optional[int]:
+        """The key of the edit list of `transformations` in the session's
+        verdict memo, or None if it has none."""
+        return self.verdicts.key(edit_list(transformations))
+
     def _verdict_memo(self, caller) -> VerdictMemo:
         """The project's verdict memo for this session's suite, baseline
         order and step budget, at the stack position of `run`'s `caller`
@@ -758,17 +788,19 @@ class RepairSession:
 
     def run(self) -> RepairOutcome:
         self._start_time = time.monotonic()
-        # every navigation calls _validate two frames below run, so the
-        # stack position of run's caller fixes where its suite runs start
-        self._verdicts = self._verdict_memo(sys._getframe(1))
+        # every navigation calls _validate two frames below run, and run
+        # calls refine_patches itself, so the stack position of run's caller
+        # fixes where each of the session's suite runs starts
+        self.verdicts = self._verdict_memo(sys._getframe(1))
         try:
             if not self.points:
                 self.stats.stop_reason = "no-search-space"
             else:
                 NAVIGATIONS[self.config.navigation](self)
+            patches = refine_patches(self)
         finally:
-            self._verdicts = None
-        return RepairOutcome(refine_patches(self), self.stats, self.config, self.solutions, self)
+            self.verdicts = None
+        return RepairOutcome(patches, self.stats, self.config, self.solutions, self)
 
     def _run_selective(self) -> None:
         while True:

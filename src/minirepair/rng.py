@@ -94,8 +94,10 @@ class RngStreams:
     """Per-purpose generators split from one master seed."""
 
     PURPOSES = ("points", "operators", "ingredients", "transform", "crossover")
+    # each purpose's stream seed is the master seed xor the purpose's hash
+    _SALTS = tuple((purpose, _fnv1a64(purpose)) for purpose in PURPOSES)
 
     def __init__(self, seed: int):
         self.seed = seed
-        for purpose in self.PURPOSES:
-            setattr(self, purpose, SplitMix64((seed & _MASK64) ^ _fnv1a64(purpose)))
+        for purpose, salt in self._SALTS:
+            setattr(self, purpose, SplitMix64((seed & _MASK64) ^ salt))

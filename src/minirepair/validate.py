@@ -11,12 +11,17 @@ short-circuited result.
 Post-processing (`refine_patches`) minimizes each solution by greedily
 dropping transformations whose removal keeps fitness at zero, iterating
 until no single remaining transformation can be dropped, then renders
-unified diffs and orders patches chronologically by discovery.
+unified diffs and orders patches chronologically by discovery.  The
+results of its full-suite runs are kept with the session's verdict memo,
+so a later session on the project that refines the same edit list runs
+nothing: each minimization trial keeps its fitness and steps, and each
+minimized list the steps of its final run and, for a patch, the rendered
+diffs and sources.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from minirepair.diffs import make_file_diff
 from minirepair.faultloc import SpectrumMatrix, TestCase, run_test
@@ -44,6 +49,9 @@ class Baseline:
     matrix: SpectrumMatrix
     failing: list[TestCase]
     passing: list[TestCase]
+    # what the engine derives from the spectrum alone: its suspiciousness
+    # ranking and modification points, by (formula, cut-off, granularity)
+    points: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_matrix(cls, matrix: SpectrumMatrix) -> "Baseline":
@@ -134,30 +142,17 @@ def patched_sources(
     return sources, edited
 
 
-def render_patch(
-    baseline_sources: dict[str, str],
-    variant_sources: dict[str, str],
-    edited: list[str],
-    provenance,
-    discovery_iteration: int,
-    discovery_order: int,
-    transformations=(),
-) -> Patch:
-    """The patch of a variant whose `edited` files may differ from the
-    baseline; the other files have no diff."""
+def file_diffs(
+    baseline_sources: dict[str, str], variant_sources: dict[str, str], edited: list[str]
+) -> tuple[tuple[str, str], ...]:
+    """(path, unified diff) of each changed file of a variant whose
+    `edited` files may differ from the baseline; the others have no diff."""
     files = []
     for path in sorted(edited):
         diff = make_file_diff(path, baseline_sources[path], variant_sources[path])
         if diff:
             files.append((path, diff))
-    return Patch(
-        files=tuple(files),
-        sources=dict(variant_sources),
-        provenance=tuple(provenance),
-        discovery_iteration=discovery_iteration,
-        discovery_order=discovery_order,
-        transformations=tuple(transformations),
-    )
+    return tuple(files)
 
 
 def minimize_transformations(solution_transformations, revalidate) -> list:
@@ -182,41 +177,61 @@ def minimize_transformations(solution_transformations, revalidate) -> list:
 
 def refine_patches(session) -> list[Patch]:
     """Minimize, re-validate, and render every solution of a repair session
-    in chronological discovery order.  `session` provides the solutions and
-    the materialize/validate plumbing (see engine.RepairSession)."""
+    in chronological discovery order.  `session` provides the solutions, the
+    materialize/validate plumbing and the verdict memo with its keys (see
+    engine.RepairSession).
+
+    Each full-suite run is looked up in the memo first, trials and finals
+    apart; a hit adds the stored steps to the session's `time_steps`, as
+    the run would, and a miss runs and stores its result."""
+    memo = session.verdicts
+    budget = session.config.step_budget
     patches = []
-    out_order = 0
     for variant in sorted(session.solutions, key=lambda v: v.discovery_order):
 
         def revalidate(transformations) -> int:
-            project = session.materialize(transformations)
-            if project is None:
-                return -1  # un-materializable trims never keep fitness 0
-            result = validate_variant(
-                project, session.baseline, session.config.step_budget, short_circuit=False
-            )
-            session.stats.time_steps += result.steps
-            return fitness(result)
+            key = session.memo_key(transformations)
+            trial = memo.trials.get(key)
+            if trial is None:
+                project = session.materialize(transformations)
+                if project is None:
+                    trial = (-1, 0)  # un-materializable trims never keep fitness 0
+                else:
+                    result = validate_variant(project, session.baseline, budget,
+                                              short_circuit=False)
+                    trial = (fitness(result), result.steps)
+                if key is not None:
+                    memo.trials[key] = trial
+            session.stats.time_steps += trial[1]
+            return trial[0]
 
         kept = minimize_transformations(variant.transformations, revalidate)
-        final_project = session.materialize(kept)
-        final = validate_variant(
-            final_project, session.baseline, session.config.step_budget, short_circuit=False
-        )
-        session.stats.time_steps += final.steps
-        if fitness(final) != 0:
+        key = session.memo_key(kept)
+        final = memo.finals.get(key)
+        if final is None:
+            final_project = session.materialize(kept)
+            result = validate_variant(final_project, session.baseline, budget,
+                                      short_circuit=False)
+            rendered = None  # (diffs, sources) of a patch
+            if fitness(result) == 0:
+                sources, edited = patched_sources(session.project, session.baseline_sources,
+                                                  final_project)
+                rendered = (file_diffs(session.baseline_sources, sources, edited), sources)
+            final = (result.steps, rendered)
+            if key is not None:
+                memo.finals[key] = final
+        steps, rendered = final
+        session.stats.time_steps += steps
+        if rendered is None:
             # cannot happen for a true solution; keep the report honest
             continue
-        sources, edited = patched_sources(session.project, session.baseline_sources, final_project)
-        patch = render_patch(
-            session.baseline_sources,
-            sources,
-            edited,
-            [t.provenance() for t in kept],
-            variant.discovery_iteration,
-            out_order,
-            transformations=kept,
-        )
-        patches.append(patch)
-        out_order += 1
+        files, sources = rendered
+        patches.append(Patch(
+            files=files,
+            sources=dict(sources),
+            provenance=tuple(t.provenance() for t in kept),
+            discovery_iteration=variant.discovery_iteration,
+            discovery_order=len(patches),
+            transformations=tuple(kept),
+        ))
     return patches

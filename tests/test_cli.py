@@ -371,6 +371,26 @@ def test_bad_bug_json_exits_one_without_traceback(tmp_path, capsys, bug_json, me
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "name,data,message",
+    [("bug.json", b'{"step_budget": ', "invalid JSON: Expecting value"),
+     ("bug.json", b"\xff\xfe", "invalid JSON: 'utf-8' codec can't decode"),
+     ("src/extra.mini", b"\xff\xfe", "'utf-8' codec can't decode")],
+    ids=["truncated-bug-json", "bug-json-not-utf8", "source-not-utf8"],
+)
+def test_unreadable_project_file_is_named_in_the_error(tmp_path, capsys, name, data, message):
+    corpus = _bug_copy(tmp_path, (CORPUS / "abs-sign" / "bug.json").read_text())
+    path = corpus / "abs-sign" / name
+    path.write_bytes(data)
+    code = run_cli("repair", str(corpus / "abs-sign"), "--mode", "jmutrepair",
+                   "--out", str(tmp_path / "out"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bench_with_bad_bug_json_exits_one(tmp_path, capsys):
     corpus = _bug_copy(tmp_path, '{"step_budget": null}')
     code = run_cli("bench", str(corpus), "--modes", "jmutrepair", "--seeds", "1",

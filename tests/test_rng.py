@@ -1,6 +1,6 @@
 """Seeded generator: determinism, bounds, stream independence."""
 
-from minirepair.rng import RngStreams, SplitMix64
+from minirepair.rng import RngStreams, SplitMix64, _fnv1a64
 
 
 def test_same_seed_same_stream():
@@ -66,3 +66,14 @@ def test_streams_are_independent():
     # distinct purposes yield distinct streams
     again = RngStreams(123)
     assert again.points.next_u64() != again.operators.next_u64()
+
+
+def test_each_stream_is_seeded_by_its_purpose_hash():
+    for seed in (0, 1, 42, -1, (1 << 64) + 5):
+        streams = RngStreams(seed)
+        for purpose in RngStreams.PURPOSES:
+            expected = SplitMix64(seed ^ _fnv1a64(purpose))
+            stream = getattr(streams, purpose)
+            assert [stream.next_u64() for _ in range(3)] == [
+                expected.next_u64() for _ in range(3)
+            ], (seed, purpose)

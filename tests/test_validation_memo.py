@@ -1,21 +1,25 @@
 """Validation verdicts shared by the repair sessions of one project.
 
-The sessions on one project object share the baseline spectrum and the
-verdicts of edit lists (`SourceProject.analysis`), keyed by the stack
-position the session was started from: of every one-edit variant, and of
-each list of several edits from its second sighting on.  The sessions must
-not notice: each report and patch equals that of a session on a freshly
-loaded project at the same stack depth, in any order, and that of sessions
-that run every list of several edits, as before such lists were stored.
+The sessions on one project object share the baseline spectrum with the
+modification points ranked from it, the verdicts of edit lists and the
+results of refinement's full-suite runs (`SourceProject.analysis`), keyed
+by the stack position the session was started from: the verdicts of every
+one-edit variant, and of each list of several edits from its second
+sighting on.  The sessions must not notice: each report and patch equals
+that of a session on a freshly loaded project at the same stack depth, in
+any order, and that of sessions that run every list of several edits, as
+before such lists were stored.
 """
 
 import dataclasses
 import json
+import sys
 
 import pytest
 
-from minirepair import engine
-from minirepair.engine import ID_BITS, RepairSession, VerdictMemo, navigate
+from minirepair import engine, validate
+from minirepair.config import CHOICES
+from minirepair.engine import ID_BITS, RepairSession, VerdictMemo, edit_list, navigate
 from minirepair.lang.ast import nodes_equal
 from minirepair.presets import config_from_preset
 
@@ -47,19 +51,62 @@ def artifacts_at(depth, project, suite, run, meta):
     return nested(depth, lambda: artifacts(navigate(project, suite, config(*run, meta))))
 
 
-@pytest.mark.parametrize("bug", PARITY_BUGS)
-def test_shared_verdicts_give_fresh_artifacts(bug):
-    runs = [(mode, seed) for mode in PRESETS for seed in (1, 2, 3, 4)]
+REFINING = ("revalidate", "refine_patches")  # the callers of refinement's suite runs
+
+
+def record_refinement(monkeypatch) -> list:
+    """A list that gets (caller, edit list) of each suite run refinement
+    makes from now on, and ("materialize", edit list) of each variant it
+    materializes."""
+    runs = []
+    real_materialize = RepairSession.materialize
+    real_validate = validate.validate_variant
+
+    def materialize(self, transformations):
+        if sys._getframe(1).f_code.co_name in REFINING:
+            runs.append(("materialize", edit_list(transformations)))
+        return real_materialize(self, transformations)
+
+    def validate_variant(*args, **kwargs):
+        caller = sys._getframe(1).f_code.co_name
+        if caller in REFINING:
+            runs.append((caller, runs[-1][1]))  # the list materialized just before
+        return real_validate(*args, **kwargs)
+
+    monkeypatch.setattr(RepairSession, "materialize", materialize)
+    monkeypatch.setattr(validate, "validate_variant", validate_variant)
+    return runs
+
+
+def count_refinement(runs) -> tuple[int, int]:
+    """(trial runs, final runs) recorded in `runs`."""
+    return sum(c == "revalidate" for c, _ in runs), sum(c == "refine_patches" for c, _ in runs)
+
+
+# neg-guard's jgenprog and deeprepair-lite solutions have two edits, so
+# refinement's minimization trials repeat across seeds
+@pytest.mark.parametrize("bug", PARITY_BUGS + ("neg-guard",))
+def test_shared_verdicts_give_fresh_artifacts(bug, monkeypatch):
+    refined = record_refinement(monkeypatch)
+    runs = [(mode, seed) for mode in PRESETS for seed in range(1, 7)]
     fresh = {}
     for run in runs:
         project, suite, meta = load_bug(bug)
         fresh[run] = artifacts_at(0, project, suite, run, meta)
+    fresh_trials, fresh_finals = count_refinement(refined)
     for order in (runs, runs[::-1]):
+        refined.clear()
         project, suite, meta = load_bug(bug)
         for run in order:
             assert artifacts_at(0, project, suite, run, meta) == fresh[run], (bug, run)
         (memo,) = project.analysis["verdicts"].values()
         assert memo.verdicts
+        # sessions that find the same fix refine it once per project
+        trials, finals = count_refinement(refined)
+        assert finals < fresh_finals
+        assert trials < fresh_trials or fresh_trials == 0
+    if bug == "neg-guard":
+        assert fresh_trials > 0
 
 
 def count_materialized_lists(monkeypatch) -> list[int]:
@@ -148,6 +195,8 @@ def test_sessions_deeper_on_the_stack_keep_their_own_verdicts(bug):
     assert any(deep[run] != top[run] for run in runs)
     assert len(project.analysis["verdicts"]) == 2
     assert len(project.analysis["baselines"]) == 2
+    # each stack position keeps its own refinement results
+    assert all(memo.finals for memo in project.analysis["verdicts"].values())
 
 
 @pytest.mark.parametrize("mode", ("jgenprog", "jkali", "cardumen"))
@@ -266,3 +315,59 @@ def test_one_key_names_one_concrete_tree(corpus_names, monkeypatch):
             for seed in (1, 2, 3):
                 navigate(project, suite, config(mode, seed, meta))
     assert repeats > 1000
+
+
+def test_a_third_session_refines_nothing(monkeypatch):
+    runs = record_refinement(monkeypatch)
+    project, suite, meta = load_bug("neg-guard")
+    sessions = []
+    for _ in range(3):  # all sessions from one stack position
+        runs.clear()
+        sessions.append((artifacts(navigate(project, suite, config("jgenprog", 1, meta))),
+                         list(runs)))
+    (first, first_runs), (second, second_runs), (third, third_runs) = sessions
+    assert second == first and third == first
+    assert all(count_refinement(first_runs))
+    assert any(caller == "materialize" for caller, _ in first_runs)
+    # refinement stores each result at first sight
+    assert second_runs == [] and third_runs == []
+
+
+def test_trial_and_final_results_never_answer_each_other(monkeypatch):
+    runs = record_refinement(monkeypatch)
+    project, suite, meta = load_bug("neg-guard")
+    # seed 2's minimization drops one of its solution's two edits
+    navigate(project, suite, config("jgenprog", 2, meta))
+    trials = {edits for caller, edits in runs if caller == "revalidate"}
+    finals = {edits for caller, edits in runs if caller == "refine_patches"}
+    # the minimized list was a trial too, and its final run still ran
+    assert trials & finals
+    (memo,) = project.analysis["verdicts"].values()
+    assert set(memo.trials) & set(memo.finals)
+
+
+def ranked_points(session):
+    """What a session ranks from the spectrum, with every point's env."""
+    return (session.suspicious,
+            [(p, p.env) for p in session.points],
+            session._point_prefix)
+
+
+def test_sessions_that_differ_in_ranking_fields_get_fresh_points():
+    configs = [
+        config_from_preset("jgenprog", formula=formula, max_suspicious=cut,
+                           granularity=granularity)
+        for formula in CHOICES["formula"]
+        for cut in (1, 3, 100)
+        for granularity in CHOICES["granularity"]
+    ]
+    project, suite, _ = load_bug("two-modules")
+    shared = []
+    for _ in range(2):
+        shared.extend(ranked_points(RepairSession(project, suite, c)) for c in configs)
+    for c, got, again in zip(configs, shared, shared[len(configs):]):
+        fresh_project, fresh_suite, _ = load_bug("two-modules")
+        assert got == ranked_points(RepairSession(fresh_project, fresh_suite, c))
+        assert again == got
+    (baseline,) = project.analysis["baselines"].values()
+    assert len(baseline.points) == len(configs)
