@@ -38,7 +38,7 @@ from minirepair.config import (
 from minirepair.engine import RepairOutcome, navigate
 from minirepair.faultloc import NoFailingTests, SuiteError, TestCase, load_suite
 from minirepair.lang.ast import ProjectError, SourceProject, parse_project
-from minirepair.lang.types import TypeCheckError, check_project
+from minirepair.lang.types import TypeCheckError, cached_types
 from minirepair.presets import PRESET_NAMES, config_from_preset
 
 log = logging.getLogger("minirepair")
@@ -86,7 +86,7 @@ def load_project_dir(project_dir: str | Path) -> tuple[SourceProject, list[TestC
     if not files:
         raise ProjectLoadError(f"{src_root}: no .mini files")
     project = parse_project(files)
-    check_project(project)
+    cached_types(project)  # raises TypeCheckError; the first session reuses the result
 
     tests_path = root / "tests.json"
     if not tests_path.is_file():
@@ -148,6 +148,12 @@ def write_report(outcome: RepairOutcome, out_dir: Path) -> None:
         (out_dir / name).write_text(patch.diff_text, encoding="utf-8")
 
 
+def _output_error(exc: OSError, out_dir: Path) -> int:
+    """Report an output file or directory that cannot be written."""
+    print(f"error: {exc.filename or out_dir}: {exc.strerror or exc}", file=sys.stderr)
+    return 1
+
+
 def cmd_repair(args) -> int:
     try:
         project, suite, meta = load_project_dir(args.project_dir)
@@ -161,7 +167,10 @@ def cmd_repair(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out_dir = Path(args.out)
-    write_report(outcome, out_dir)
+    try:
+        write_report(outcome, out_dir)
+    except OSError as exc:
+        return _output_error(exc, out_dir)
     found = len(outcome.patches)
     log.info("stop=%s patches=%d validated=%d", outcome.stats.stop_reason,
              found, outcome.stats.validated)
@@ -276,9 +285,12 @@ def cmd_bench(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "bench.csv").write_text(rows_to_csv(rows), encoding="utf-8")
-    (out_dir / "summary.csv").write_text(summary_csv(rows), encoding="utf-8")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "bench.csv").write_text(rows_to_csv(rows), encoding="utf-8")
+        (out_dir / "summary.csv").write_text(summary_csv(rows), encoding="utf-8")
+    except OSError as exc:
+        return _output_error(exc, out_dir)
     repaired = sum(1 for r in rows if r["repaired"] == "yes")
     print(f"{len(rows)} runs, {repaired} repaired; CSV in {out_dir}")
     return 0

@@ -154,7 +154,11 @@ def _coerce(raw: str):
 def parse_config_file(path: str | Path) -> dict:
     """Flat key = value pairs; later keys override earlier ones."""
     values: dict = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

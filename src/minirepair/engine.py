@@ -412,10 +412,7 @@ class RepairSession:
         # pick of the pair adds to (None: not known)
         self._exhausted_pairs: dict[tuple[int, str], Optional[str]] = {}
         self._validated_signatures: dict[tuple, Optional[int]] = {}
-        # per (point, operator, entry): the entry's shared candidates there
-        # and the cursor past the last one tried; random-var's distinct
-        # forms drawn
-        self._cursors: dict[tuple[int, str, str], tuple[Candidates, int]] = {}
+        # per (point, operator, entry): random-var's distinct forms drawn
         self._drawn_forms: dict[tuple[int, str, str], set[str]] = {}
         self._pool: Optional[IngredientPool] = None
         self._op_counter = 0
@@ -465,8 +462,8 @@ class RepairSession:
         session.  It depends on the project alone, which no session
         modifies; sessions only read it, except that they add entries to
         the memos of suite runs ("baselines", with the points of each
-        baseline, and "verdicts", with refinement's results), of
-        applicability ("applicable") and of candidate plans ("plans")."""
+        baseline, and "verdicts", with refinement's results) and of
+        candidate plans ("plans")."""
         analysis = self.project.analysis
         if key not in analysis:
             analysis[key] = build()
@@ -512,16 +509,6 @@ class RepairSession:
     def space_exhausted(self) -> bool:
         return len(self._exhausted_pairs) >= len(self.points) * len(self.space.operators)
 
-    def _applicable(self, point: ModificationPoint, op: RepairOperator) -> bool:
-        """`op.applicable` at the point in the session project, which no
-        session modifies: decided once per project."""
-        memo = self._shared("applicable", dict)
-        key = (point.node_id, op.name)
-        applicable = memo.get(key)
-        if applicable is None:
-            applicable = memo[key] = op.applicable(self.project, self.project.node(point.node_id))
-        return applicable
-
     def create_transformation(
         self, point: ModificationPoint, op: RepairOperator
     ) -> Optional[Transformation]:
@@ -534,19 +521,17 @@ class RepairSession:
         session on it.  A transformation names its candidate by plan and
         index; the tree is built only when a variant is materialized.
 
-        The session keeps a cursor per (point, operator, entry) while the
-        entry is unsealed: each pick reads printed forms from the cursor on
-        until one is new to the attempt cache, and a used-up plan seals the
-        entry.  That equals replanning and scanning from the top, because
-        the plan depends only on the entry, the point's scope and the
-        project's name model, every candidate before the cursor is in the
-        cache, and the cache only grows.  random-var draws anew on every
-        pick instead (`_draw_candidate`)."""
+        Each pick scans the entry's plan from the top for the first printed
+        form new to the attempt cache, and a used-up plan seals the entry.
+        Every form before the one the last pick took is printed in the plan
+        and in the cache already, and the cache only grows, so the scan
+        takes what resuming after that pick would and prints no form twice.
+        random-var draws anew on every pick instead (`_draw_candidate`)."""
         counter = self._exhausted_pairs.get((point.node_id, op.name))
         if counter is not None:
             setattr(self.stats, counter, getattr(self.stats, counter) + 1)
             return None
-        if not self._applicable(point, op):
+        if not op.applicable(self.project, self.project.node(point.node_id)):
             self._mark_exhausted(point, op, "not_applicable")
             return None
         if not op.needs_ingredient:
@@ -571,14 +556,12 @@ class RepairSession:
         key = (point.node_id, op.name, ingredient.printed)
         if self._ingredient_transform == "random-var":
             return self._draw_candidate(point, op, ingredient, key)
-        plan, cursor = self._cursors.pop(key, None) or (self._plan(ingredient, point), 0)
+        plan = self._plan(ingredient, point)
         if not plan:
             return self._untransformable(key)
-        for cursor in range(cursor, len(plan)):
-            if self.cache.check_and_add(point.node_id, op.name, self._printed(plan, cursor)):
-                if not self.cache.contains(*key):
-                    self._cursors[key] = (plan, cursor + 1)
-                return Transformation(point, op, plan, cursor)
+        for index in range(len(plan)):
+            if self.cache.check_and_add(point.node_id, op.name, self._printed(plan, index)):
+                return Transformation(point, op, plan, index)
         self.cache.check_and_add(*key)  # the plan is used up: seal the entry
         self.stats.duplicates += 1
         return None
@@ -845,7 +828,7 @@ class RepairSession:
             if t is not None:
                 yield t
             return
-        if not self._applicable(point, op):
+        if not op.applicable(self.project, self.project.node(point.node_id)):
             self._mark_exhausted(point, op, "not_applicable")
             return
         pool = self.ingredient_pool()

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -284,49 +283,13 @@ class FunctionSimilarity:
 # -- attempt cache -------------------------------------------------------------
 
 
-class _Untried:
-    """The entries of one pool list not yet tried at one (point, operator):
-    their pool indices in pool order and, keyed by printed form, the same
-    indices; a ranking of them and its cursor, once asked for."""
-
-    __slots__ = ("entries", "order", "index_of", "ranked", "cursor")
-
-    def __init__(self, entries: list[Ingredient], tried):
-        self.entries = entries
-        self.order = [i for i, e in enumerate(entries) if not tried(e.printed)]
-        self.index_of = {entries[i].printed: i for i in self.order}
-        self.ranked: list[Ingredient] | None = None
-        self.cursor = 0
-
-    def drop(self, printed: str) -> None:
-        i = self.index_of.pop(printed, None)
-        if i is not None:
-            del self.order[bisect_left(self.order, i)]
-
-    def first(self, rank) -> Ingredient:
-        """The untried entry that sorts first by the key `rank`.  The key
-        is fixed and a tried entry stays tried, so the entries are sorted
-        once and a cursor moves past the tried ones."""
-        if self.ranked is None:
-            self.ranked = sorted((self.entries[i] for i in self.order), key=rank)
-        while self.ranked[self.cursor].printed not in self.index_of:
-            self.cursor += 1
-        return self.ranked[self.cursor]
-
-
 class AttemptCache:
     """Set of (point, operator, printed form) triples already attempted.
-    Only the search loop reads and writes it.
-
-    For every (point, operator) that selection asked about, it also keeps
-    the pool entries whose own printed form is not attempted there yet
-    (`untried`).  `check_and_add` is the one way into the set, and it
-    drops an entry from that list as soon as its form is added, whichever
-    candidate printed it."""
+    Only the search loop reads and writes it; `check_and_add` is the one
+    way in."""
 
     def __init__(self):
         self._seen: set[tuple[int, str, str]] = set()
-        self._untried: dict[tuple[int, str], _Untried] = {}
 
     def contains(self, point_id: int, op_name: str, printed: str) -> bool:
         return (point_id, op_name, printed) in self._seen
@@ -337,21 +300,7 @@ class AttemptCache:
         if key in self._seen:
             return False
         self._seen.add(key)
-        untried = self._untried.get((point_id, op_name))
-        if untried is not None:
-            untried.drop(printed)
         return True
-
-    def untried(self, point_id: int, op_name: str, entries: list[Ingredient]) -> _Untried:
-        """The entries of `entries` whose printed form is not attempted at
-        (point, operator), kept up to date from the first call on."""
-        key = (point_id, op_name)
-        untried = self._untried.get(key)
-        if untried is None or untried.entries is not entries:
-            untried = self._untried[key] = _Untried(
-                entries, lambda printed: (point_id, op_name, printed) in self._seen
-            )
-        return untried
 
     def __len__(self) -> int:
         return len(self._seen)
@@ -360,20 +309,21 @@ class AttemptCache:
 # -- selection -----------------------------------------------------------------
 
 
-def _uniform(untried: _Untried, point, rng, similarity, name_model) -> Ingredient:
-    return untried.entries[untried.order[rng.below(len(untried.order))]]
+def _uniform(untried: list[Ingredient], point, rng, similarity, name_model) -> Ingredient:
+    return untried[rng.below(len(untried))]
 
 
-def _most_similar(untried: _Untried, point, rng, similarity, name_model) -> Ingredient:
-    return untried.first(lambda e: (
+def _most_similar(untried: list[Ingredient], point, rng, similarity, name_model) -> Ingredient:
+    # the key ends in the node id, so the minimum is unique
+    return min(untried, key=lambda e: (
         -similarity.similarity(point.function, e.origin_function), e.origin_function, e.node_id
     ))
 
 
-def _by_name_probability(untried: _Untried, point, rng, similarity, name_model) -> Ingredient:
-    entries, order = untried.entries, untried.order
-    weights = [name_model.score(entries[i].ref_names) for i in order]
-    return entries[order[rng.weighted_index(weights)]]
+def _by_name_probability(
+    untried: list[Ingredient], point, rng, similarity, name_model
+) -> Ingredient:
+    return untried[rng.weighted_index([name_model.score(e.ref_names) for e in untried])]
 
 
 # the ingredient-selection extension point: config lists its keys
@@ -400,12 +350,15 @@ def select_ingredient(
     `point` must expose file, module, function and node_id attributes.
     An entry counts as tried once its own printed form has been attempted
     at this (point, operator); entries whose transformations still have
-    untried concrete instantiations remain selectable.  uniform and
-    name-probability draw over the untried entries in pool order;
-    similarity takes the best-ranked untried entry.
+    untried concrete instantiations remain selectable.  Every pick filters
+    the point's pool list against the attempt cache; uniform and
+    name-probability draw over the untried entries in pool order, and
+    similarity takes the best-ranked one.
     """
-    untried = cache.untried(point.node_id, op_name, pool.entries(point.file, point.module))
-    if not untried.order:
+    seen = cache._seen
+    untried = [e for e in pool.entries(point.file, point.module)
+               if (point.node_id, op_name, e.printed) not in seen]
+    if not untried:
         return None
     return SELECTIONS[strategy](untried, point, rng, similarity, name_model)
 

@@ -10,9 +10,10 @@ short-circuited result.
 
 Post-processing (`refine_patches`) minimizes each solution by greedily
 dropping transformations whose removal keeps fitness at zero, iterating
-until no single remaining transformation can be dropped, then renders
-unified diffs and orders patches chronologically by discovery.  The
-results of its full-suite runs are kept with the session's verdict memo,
+until no single remaining transformation can be dropped, then prints the
+whole patched program, diffs each file against the unpatched one in path
+order, and orders patches chronologically by discovery.  The results of
+its full-suite runs are kept with the session's verdict memo,
 so a later session on the project that refines the same edit list runs
 nothing: each minimization trial keeps its fitness and steps, and each
 minimized list the steps of its final run and, for a patch, the rendered
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from minirepair.diffs import make_file_diff
 from minirepair.faultloc import SpectrumMatrix, TestCase, run_test
 from minirepair.lang.ast import SourceProject
-from minirepair.lang.printer import print_file
+from minirepair.lang.printer import print_sources
 
 
 @dataclass(frozen=True)
@@ -124,37 +125,6 @@ class Patch:
         }
 
 
-def patched_sources(
-    project: SourceProject, baseline_sources: dict[str, str], variant: SourceProject
-) -> tuple[dict[str, str], list[str]]:
-    """`print_sources(variant)` for a variant derived from `project`, and
-    the paths of its edited files.  A file the variant still shares with
-    `project` is unedited, so its text is taken from `baseline_sources`
-    (the printed `project`) instead of being printed again; `derive`
-    keeps the files in `project`'s order."""
-    sources, edited = {}, []
-    for sf, base in zip(variant.files, project.files):
-        if sf is base:
-            sources[sf.path] = baseline_sources[sf.path]
-        else:
-            sources[sf.path] = print_file(sf)
-            edited.append(sf.path)
-    return sources, edited
-
-
-def file_diffs(
-    baseline_sources: dict[str, str], variant_sources: dict[str, str], edited: list[str]
-) -> tuple[tuple[str, str], ...]:
-    """(path, unified diff) of each changed file of a variant whose
-    `edited` files may differ from the baseline; the others have no diff."""
-    files = []
-    for path in sorted(edited):
-        diff = make_file_diff(path, baseline_sources[path], variant_sources[path])
-        if diff:
-            files.append((path, diff))
-    return tuple(files)
-
-
 def minimize_transformations(solution_transformations, revalidate) -> list:
     """Greedy drop of fitness-neutral transformations, repeated until no
     single remaining transformation can be removed without breaking a test.
@@ -214,9 +184,13 @@ def refine_patches(session) -> list[Patch]:
                                       short_circuit=False)
             rendered = None  # (diffs, sources) of a patch
             if fitness(result) == 0:
-                sources, edited = patched_sources(session.project, session.baseline_sources,
-                                                  final_project)
-                rendered = (file_diffs(session.baseline_sources, sources, edited), sources)
+                sources = print_sources(final_project)
+                files = []
+                for path in sorted(sources):
+                    diff = make_file_diff(path, session.baseline_sources[path], sources[path])
+                    if diff:
+                        files.append((path, diff))
+                rendered = (tuple(files), sources)
             final = (result.steps, rendered)
             if key is not None:
                 memo.finals[key] = final

@@ -5,8 +5,18 @@ import shutil
 
 import pytest
 
-from minirepair.cli import BENCH_FIELDS, bench_run, main, rows_to_csv, summary_csv
+from minirepair.cli import (
+    BENCH_FIELDS,
+    bench_run,
+    load_project_dir,
+    main,
+    rows_to_csv,
+    summary_csv,
+)
 from minirepair.config import ConfigError, RunConfig, apply_overrides, parse_config_file
+from minirepair.engine import navigate
+from minirepair.lang import types
+from minirepair.presets import config_from_preset
 
 from conftest import CORPUS
 
@@ -419,6 +429,52 @@ def test_unreadable_config_exits_one_without_traceback(tmp_path, capsys, config_
     assert err.startswith("error: ") and str(tmp_path) in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_config_not_utf8_is_named_in_the_error(tmp_path, capsys):
+    config_file = tmp_path / "run.conf"
+    config_file.write_bytes(b"\xff\xfe")
+    code = run_cli("repair", str(CORPUS / "abs-sign"), "--mode", "jmutrepair",
+                   "--config", str(config_file), "--out", str(tmp_path / "out"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config_file}: ") and "'utf-8' codec can't decode" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["repair", "bench"])
+def test_out_naming_an_existing_file_exits_one_without_traceback(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    out.write_text("taken\n")
+    if command == "repair":
+        code = run_cli("repair", str(CORPUS / "abs-sign"), "--mode", "jmutrepair",
+                       "--seed", "1", "--out", str(out))
+    else:
+        code = run_cli("bench", str(CORPUS), "--bugs", "abs-sign", "--modes", "jmutrepair",
+                       "--seeds", "1", "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: ")
+    assert "Traceback" not in err
+    assert out.read_text() == "taken\n"
+
+
+def test_load_and_first_session_type_check_the_project_once(monkeypatch):
+    checks = []
+    run = types._Checker.run
+
+    def counting(self, functions, signatures=None):
+        if functions is None:  # a whole-project check, not a variant's
+            checks.append(self.project)
+        return run(self, functions, signatures)
+
+    monkeypatch.setattr(types._Checker, "run", counting)
+    project, suite, meta = load_project_dir(CORPUS / "abs-sign")
+    config = config_from_preset("jmutrepair", seed=1)
+    config.step_budget = meta["step_budget"]
+    navigate(project, suite, config)
+    assert checks == [project]
 
 
 @pytest.mark.parametrize("command", ["repair", "bench"])

@@ -1,15 +1,14 @@
-"""Ingredient and weighted picks: incremental structures versus the scans
-they replaced.
+"""Ingredient and weighted picks against reference algorithms.
 
-`select_ingredient` draws from the untried-entry list that the attempt
-cache keeps per (point, operator) and updates on every add, and ranks the
-entries by similarity once per (point, operator).  `SplitMix64.prefix_index`
-bisects running sums that a caller builds once.  The oracles below keep
-the algorithms these replaced, and each must make the same picks and the
-same draws from the generator:
+`select_ingredient` filters the point's pool list against the attempt
+cache on every pick.  `SplitMix64.prefix_index` bisects running sums that
+a caller builds once.  Each reference below must make the same picks and
+the same draws from the generator, over random sequences of picks and
+additions to the cache:
 
-- `filter_whole_pool` filters the whole pool against the cache on every
-  pick, then draws, sorts or weighs the survivors;
+- `filter_whole_pool` spells out the pick: it filters the pool through
+  `AttemptCache.contains`, then draws with `choice`, sorts by similarity,
+  or weighs the survivors with `scan_weighted_index`;
 - `scan_weighted_index` sums the weights and scans them on every draw.
 """
 
@@ -49,7 +48,7 @@ def scan_weighted_index(rng, weights):
 
 def filter_whole_pool(pool, point, op_name, strategy, rng, cache, similarity=None,
                       name_model=None):
-    """select_ingredient before untried-entry lists."""
+    """select_ingredient written out: filter, then draw, sort or weigh."""
     entries = pool.entries(point.file, point.module)
     candidates = [e for e in entries if not cache.contains(point.node_id, op_name, e.printed)]
     if not candidates:

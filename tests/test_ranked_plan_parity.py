@@ -1,9 +1,9 @@
 """Ingredient transformation: one candidate plan per entry versus the
 paths it replaced.
 
-The project plans an entry's candidates once per point, and each session
-keeps a cursor per (point, operator) (random-var replans on every pick,
-since it draws anew).
+The project plans an entry's candidates once per point, and each pick
+scans that plan from the top (random-var replans on every pick, since it
+draws anew).
 Two oracles keep the algorithms that plan replaced, and each must give the
 same search, byte for byte:
 
@@ -286,7 +286,6 @@ def test_used_up_plan_seals_the_entry_and_counts_a_duplicate(monkeypatch, mode):
     assert session.stats.duplicates == 1
     assert session.stats.exhausted_selections == 1
     assert session.cache.contains(point.node_id, op.name, entry.printed)
-    assert (point.node_id, op.name, entry.printed) not in session._cursors
     oracle = _pick_until_used_up(monkeypatch, mode, rebuild_every_pick)
     assert oracle[0] == runs
     assert dataclasses.asdict(oracle[2].stats) == dataclasses.asdict(session.stats)

@@ -149,8 +149,8 @@ def test_variants_start_with_empty_analysis():
 
 @pytest.mark.parametrize("mode", ("jgenprog", "jmutrepair"))
 def test_patch_sources_equal_printed_final_project(mode, corpus_names):
-    """Refinement prints only the files a patch edits and takes the rest
-    from the baseline; the result is the whole printed final project."""
+    """A patch's sources are the whole printed final project, in the
+    project's file order."""
     patches = 0
     for name in corpus_names:
         project, suite, meta = load_bug(name)
