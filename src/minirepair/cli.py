@@ -30,16 +30,17 @@ from pathlib import Path
 
 from minirepair.config import (
     CHOICES,
+    FIELD_NAMES,
     ConfigError,
     RunConfig,
-    apply_overrides,
+    configure,
     parse_config_file,
 )
 from minirepair.engine import RepairOutcome, navigate
 from minirepair.faultloc import NoFailingTests, SuiteError, TestCase, load_suite
 from minirepair.lang.ast import ProjectError, SourceProject, parse_project
 from minirepair.lang.types import TypeCheckError, cached_types
-from minirepair.presets import PRESET_NAMES, config_from_preset
+from minirepair.presets import PRESET_NAMES, preset
 
 log = logging.getLogger("minirepair")
 
@@ -112,31 +113,18 @@ def load_project_dir(project_dir: str | Path) -> tuple[SourceProject, list[TestC
     return project, suite, meta
 
 
+def _flags(args) -> dict:
+    """The parsed options that set a RunConfig field, by field name."""
+    return {key: value for key, value in vars(args).items() if key in FIELD_NAMES}
+
+
 def build_config(args, meta: dict | None = None) -> RunConfig:
-    if args.mode != "custom":
-        config = config_from_preset(args.mode)
-    else:
-        config = RunConfig()
-    if args.config:
-        apply_overrides(config, parse_config_file(args.config))
-    flag_overrides = {
-        "seed": args.seed,
-        "max_solutions": args.max_solutions,
-        "max_iterations": args.max_iterations,
-        "max_seconds": args.max_seconds,
-        "navigation": args.navigation,
-        "ingredient_scope": args.scope,
-        "granularity": args.granularity,
-        "jobs": args.jobs,
-        "step_budget": args.step_budget,
-        "formula": args.formula,
-    }
-    if meta and args.step_budget is None and "step_budget" in meta:
-        flag_overrides["step_budget"] = meta["step_budget"]
-    apply_overrides(config, flag_overrides)
-    config.mode = args.mode
-    config.validate()
-    return config
+    """The preset of `--mode` (or `custom`), then the `--config` file, then
+    bug.json's step budget, then the flags, `--mode` among them."""
+    base = RunConfig() if args.mode == "custom" else preset(args.mode)
+    file_values = parse_config_file(args.config) if args.config else {}
+    budget = {"step_budget": (meta or {}).get("step_budget")}
+    return configure(base, file_values, budget, _flags(args))
 
 
 def write_report(outcome: RepairOutcome, out_dir: Path) -> None:
@@ -195,12 +183,8 @@ def bench_run(
             loaded[bug_name] = load_project_dir(Path(corpus_dir) / bug_name)
         project, suite, meta = loaded[bug_name]
         for seed in seeds:
-            config = config_from_preset(mode, seed=seed)
-            if "step_budget" in meta:
-                config.step_budget = meta["step_budget"]
-            if overrides:
-                apply_overrides(config, overrides)
-            config.validate()
+            config = configure(preset(mode), {"seed": seed},
+                               {"step_budget": meta.get("step_budget")}, overrides or {})
             try:
                 outcome = navigate(project, suite, config)
             except NoFailingTests as exc:
@@ -271,16 +255,9 @@ def cmd_bench(args) -> int:
         print(f"error: --seeds must be comma-separated integers, got {args.seeds!r}",
               file=sys.stderr)
         return 1
-    overrides = {}
-    if args.navigation:
-        overrides["navigation"] = args.navigation
-    if args.scope:
-        overrides["ingredient_scope"] = args.scope
-    if args.max_iterations is not None:
-        overrides["max_iterations"] = args.max_iterations
     try:
         pairs = [(bug, mode) for bug in bugs for mode in modes]
-        rows = bench_run(corpus, pairs, seeds, overrides)
+        rows = bench_run(corpus, pairs, seeds, _flags(args))
     except (*INPUT_ERRORS, NoFailingTests) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -309,7 +286,8 @@ def make_parser() -> argparse.ArgumentParser:
     repair.add_argument("--max-iterations", type=int, default=None)
     repair.add_argument("--max-seconds", type=float, default=None)
     repair.add_argument("--navigation", default=None, choices=CHOICES["navigation"])
-    repair.add_argument("--scope", default=None, choices=CHOICES["ingredient_scope"])
+    repair.add_argument("--scope", dest="ingredient_scope", default=None,
+                        choices=CHOICES["ingredient_scope"])
     repair.add_argument("--granularity", default=None, choices=CHOICES["granularity"])
     repair.add_argument("--jobs", type=int, default=None, help="accepted; has no effect")
     repair.add_argument("--step-budget", type=int, default=None)
@@ -324,7 +302,8 @@ def make_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seeds", default="1,2,3")
     bench.add_argument("--bugs", default=None, help="comma-separated bug names (default: all)")
     bench.add_argument("--navigation", default=None, choices=CHOICES["navigation"])
-    bench.add_argument("--scope", default=None, choices=CHOICES["ingredient_scope"])
+    bench.add_argument("--scope", dest="ingredient_scope", default=None,
+                       choices=CHOICES["ingredient_scope"])
     bench.add_argument("--max-iterations", type=int, default=None)
     bench.add_argument("--out", default="bench-out")
     bench.set_defaults(func=cmd_bench)

@@ -1,13 +1,13 @@
 """Run configuration: extension-point choices, budgets, and file parsing.
 
 A configuration names one component per extension point plus the search
-budgets.  Presets fill these in; explicit config keys and CLI flags
-override preset values, in that order.  Each extension point is a table
-in the module that implements it, and its keys are the names a config
-accepts (`CHOICES`): `engine.NAVIGATIONS`, `engine.GRANULARITIES`,
-`engine.POINT_SELECTIONS`, `operators.SPACES`, `engine.OPERATOR_SELECTIONS`,
-`faultloc.FORMULAS`, `ingredients.SCOPES`, `ingredients.SELECTIONS` and
-`ingredients.TRANSFORMS`.
+budgets.  A preset is one such configuration (`presets.PRESETS`); config
+keys, a corpus bug's step budget and CLI flags override it, in that order
+(`configure`).  Each extension point is a table in the module that
+implements it, and its keys are the names a config accepts (`CHOICES`):
+`engine.NAVIGATIONS`, `engine.GRANULARITIES`, `engine.POINT_SELECTIONS`,
+`operators.SPACES`, `engine.OPERATOR_SELECTIONS`, `faultloc.FORMULAS`,
+`ingredients.SCOPES`, `ingredients.SELECTIONS` and `ingredients.TRANSFORMS`.
 
 The config file format is a flat `key = value` file: one pair per line,
 `#` starts a comment, booleans are `true`/`false`, everything else is an
@@ -104,6 +104,9 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.max_iterations < 0:
             raise ConfigError("max_iterations must be >= 0")
+        # the rng folds a seed modulo 2^64, so one outside would repeat another's run
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         # nan would disable the wall limit, and nan or inf would make
         # report.json invalid JSON
         if self.max_seconds is not None and not (
@@ -169,13 +172,23 @@ def parse_config_file(path: str | Path) -> dict:
     return values
 
 
-_FIELD_NAMES = {f.name for f in fields(RunConfig)}
+FIELD_NAMES = {f.name for f in fields(RunConfig)}
 
 
 def apply_overrides(config: RunConfig, overrides: dict) -> RunConfig:
+    """Set each key of `overrides` that is not None; an unknown key is an error."""
     for key, value in overrides.items():
-        if key not in _FIELD_NAMES:
+        if key not in FIELD_NAMES:
             raise ConfigError(f"unknown config key {key!r}")
         if value is not None:
             setattr(config, key, value)
     return config
+
+
+def configure(base: RunConfig, *layers: dict) -> RunConfig:
+    """`base` with each layer of overrides applied in turn, then validated:
+    a later layer wins, and a None value keeps what is there."""
+    for layer in layers:
+        apply_overrides(base, layer)
+    base.validate()
+    return base

@@ -1,4 +1,5 @@
-"""The six built-in repair approaches as preset configurations.
+"""The six built-in repair approaches, each a `RunConfig` whose `mode` is
+its name.
 
 Each preset binds one component to every extension point.  The markdown
 rendering of this table is checked against docs/presets.md by the test
@@ -7,105 +8,83 @@ suite, so any change here must be reflected there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import replace
 
-from minirepair.config import RunConfig
+from minirepair.config import RunConfig, configure
 
-
-@dataclass(frozen=True)
-class ApproachPreset:
-    name: str
-    granularity: str
-    navigation: str
-    point_selection: str
-    operator_space: str
-    operator_selection: str
-    ingredient_scope: str | None
-    ingredient_selection: str | None
-    ingredient_transform: str | None
-    validation: str = "test-suite"
-    fitness: str = "failing-count"
-    prioritization: str = "chronological"
-
-
-PRESETS: dict[str, ApproachPreset] = {
-    "jgenprog": ApproachPreset(
-        name="jgenprog",
-        granularity="statement",
-        navigation="evolutionary",
-        point_selection="weighted-random",
-        operator_space="irr-statements",
-        operator_selection="uniform-random",
-        ingredient_scope="module",
-        ingredient_selection="uniform",
-        ingredient_transform="none",
-    ),
-    "jkali": ApproachPreset(
-        name="jkali",
-        granularity="statement",
-        navigation="exhaustive",
-        point_selection="sequential",
-        operator_space="suppression",
-        operator_selection="sequential",
-        ingredient_scope=None,
-        ingredient_selection=None,
-        ingredient_transform=None,
-    ),
-    "jmutrepair": ApproachPreset(
-        name="jmutrepair",
-        granularity="logical-relational",
-        navigation="exhaustive",
-        point_selection="weighted-random",
-        operator_space="relational-logical",
-        operator_selection="uniform-random",
-        ingredient_scope=None,
-        ingredient_selection=None,
-        ingredient_transform=None,
-    ),
-    "deeprepair-lite": ApproachPreset(
-        name="deeprepair-lite",
-        granularity="statement",
-        navigation="evolutionary",
-        point_selection="weighted-random",
-        operator_space="irr-statements",
-        operator_selection="uniform-random",
-        ingredient_scope="module",
-        ingredient_selection="similarity",
-        ingredient_transform="name-similarity",
-    ),
-    "cardumen": ApproachPreset(
-        name="cardumen",
-        granularity="expression",
-        navigation="selective",
-        point_selection="weighted-random",
-        operator_space="r-expression",
-        operator_selection="uniform-random",
-        ingredient_scope="global",
-        ingredient_selection="uniform",
-        ingredient_transform="name-probability",
-    ),
-    "tibra": ApproachPreset(
-        name="tibra",
-        granularity="statement",
-        navigation="selective",
-        point_selection="weighted-random",
-        operator_space="irr-statements",
-        operator_selection="uniform-random",
-        ingredient_scope="module",
-        ingredient_selection="uniform",
-        ingredient_transform="random-var",
-    ),
+PRESETS: dict[str, RunConfig] = {
+    config.mode: config
+    for config in (
+        RunConfig(
+            mode="jgenprog",
+            granularity="statement",
+            navigation="evolutionary",
+            point_selection="weighted-random",
+            operator_space="irr-statements",
+            operator_selection="uniform-random",
+            ingredient_scope="module",
+            ingredient_selection="uniform",
+            ingredient_transform="none",
+        ),
+        RunConfig(
+            mode="jkali",
+            granularity="statement",
+            navigation="exhaustive",
+            point_selection="sequential",
+            operator_space="suppression",
+            operator_selection="sequential",
+        ),
+        RunConfig(
+            mode="jmutrepair",
+            granularity="logical-relational",
+            navigation="exhaustive",
+            point_selection="weighted-random",
+            operator_space="relational-logical",
+            operator_selection="uniform-random",
+        ),
+        RunConfig(
+            mode="deeprepair-lite",
+            granularity="statement",
+            navigation="evolutionary",
+            point_selection="weighted-random",
+            operator_space="irr-statements",
+            operator_selection="uniform-random",
+            ingredient_scope="module",
+            ingredient_selection="similarity",
+            ingredient_transform="name-similarity",
+        ),
+        RunConfig(
+            mode="cardumen",
+            granularity="expression",
+            navigation="selective",
+            point_selection="weighted-random",
+            operator_space="r-expression",
+            operator_selection="uniform-random",
+            ingredient_scope="global",
+            ingredient_selection="uniform",
+            ingredient_transform="name-probability",
+        ),
+        RunConfig(
+            mode="tibra",
+            granularity="statement",
+            navigation="selective",
+            point_selection="weighted-random",
+            operator_space="irr-statements",
+            operator_selection="uniform-random",
+            ingredient_scope="module",
+            ingredient_selection="uniform",
+            ingredient_transform="random-var",
+        ),
+    )
 }
 
 PRESET_NAMES = tuple(PRESETS)
-# the extension points a preset binds that a RunConfig also has
-_RUN_FIELDS = {f.name for f in fields(RunConfig)}
-_SHARED_FIELDS = tuple(f.name for f in fields(ApproachPreset) if f.name in _RUN_FIELDS)
 
 
-def preset(name: str) -> ApproachPreset:
+def preset(name: str) -> RunConfig:
+    """A fresh copy of the named preset."""
     try:
-        return PRESETS[name]
+        return replace(PRESETS[name])
     except KeyError:
         raise ValueError(
             f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}"
@@ -113,13 +92,8 @@ def preset(name: str) -> ApproachPreset:
 
 
 def config_from_preset(name: str, **overrides) -> RunConfig:
-    """RunConfig seeded from a preset; keyword overrides win."""
-    p = preset(name)
-    config = RunConfig(mode=p.name, **{key: getattr(p, key) for key in _SHARED_FIELDS})
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(config, key, value)
-    return config
+    """The preset's configuration, validated; keyword overrides win."""
+    return configure(preset(name), overrides)
 
 
 _COLUMNS = (
@@ -131,9 +105,12 @@ _COLUMNS = (
     ("ingredient_scope", "Ingredient scope"),
     ("ingredient_selection", "Ingredient selection"),
     ("ingredient_transform", "Ingredient transform"),
-    ("validation", "Validation"),
-    ("fitness", "Fitness"),
-    ("prioritization", "Prioritization"),
+)
+# the extension points with one implementation, which every preset shares
+_FIXED_ROWS = (
+    ("Validation", "test-suite"),
+    ("Fitness", "failing-count"),
+    ("Prioritization", "chronological"),
 )
 
 
@@ -143,10 +120,9 @@ def render_table() -> str:
     header = "| Extension point | " + " | ".join(names) + " |"
     rule = "|---" * (len(names) + 1) + "|"
     rows = [header, rule]
-    for attr, label in _COLUMNS:
-        cells = []
-        for name in names:
-            value = getattr(PRESETS[name], attr)
-            cells.append(value if value is not None else "-")
-        rows.append(f"| {label} | " + " | ".join(cells) + " |")
+    cells = [(label, [getattr(PRESETS[name], attr) or "-" for name in names])
+             for attr, label in _COLUMNS]
+    cells += [(label, [value] * len(names)) for label, value in _FIXED_ROWS]
+    for label, values in cells:
+        rows.append(f"| {label} | " + " | ".join(values) + " |")
     return "\n".join(rows) + "\n"

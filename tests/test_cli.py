@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from minirepair import cli
 from minirepair.cli import (
     BENCH_FIELDS,
     bench_run,
@@ -16,7 +17,7 @@ from minirepair.cli import (
 from minirepair.config import ConfigError, RunConfig, apply_overrides, parse_config_file
 from minirepair.engine import navigate
 from minirepair.lang import types
-from minirepair.presets import config_from_preset
+from minirepair.presets import PRESET_NAMES, config_from_preset
 
 from conftest import CORPUS
 
@@ -298,11 +299,53 @@ def test_unknown_config_key_is_an_error(tmp_path):
 
 
 def test_bug_step_budget_applies(tmp_path):
-    out = tmp_path / "out"
-    assert run_cli("repair", str(CORPUS / "count-down"), "--mode", "jmutrepair",
-                   "--out", str(out)) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["config"]["step_budget"] == 4000
+    """bug.json's step budget beats the config file's, and --step-budget
+    beats bug.json's."""
+    config_file = tmp_path / "run.conf"
+    config_file.write_text("step_budget = 123\n")
+    for flags, budget in (((), 4000), (("--step-budget", "5000"), 5000)):
+        out = tmp_path / f"out-{budget}"
+        assert run_cli("repair", str(CORPUS / "count-down"), "--mode", "jmutrepair",
+                       "--config", str(config_file), *flags, "--out", str(out)) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["step_budget"] == budget
+
+
+def _record_configs(monkeypatch) -> list:
+    """The configuration of every run the CLI starts, in order."""
+    configs = []
+    real = cli.navigate
+
+    def recording(project, suite, config):
+        configs.append(config)
+        return real(project, suite, config)
+
+    monkeypatch.setattr(cli, "navigate", recording)
+    return configs
+
+
+def test_bench_overrides_beat_bug_json_which_beats_the_preset(monkeypatch):
+    configs = _record_configs(monkeypatch)
+    bench_run(CORPUS, [("count-down", "jkali")], [1])
+    bench_run(CORPUS, [("count-down", "jkali")], [1],
+              {"step_budget": 5000, "navigation": "selective", "max_iterations": None})
+    assert [(c.step_budget, c.navigation, c.max_iterations) for c in configs] == [
+        (4000, "exhaustive", 2000), (5000, "selective", 2000),
+    ]
+
+
+def test_repair_and_bench_build_equal_configs(tmp_path, monkeypatch):
+    configs = _record_configs(monkeypatch)
+    for mode in PRESET_NAMES:
+        run_cli("repair", str(CORPUS / "count-down"), "--mode", mode, "--seed", "2",
+                "--out", str(tmp_path / mode))
+    repair_configs = configs[:]
+    configs.clear()
+    run_cli("bench", str(CORPUS), "--bugs", "count-down", "--modes", ",".join(PRESET_NAMES),
+            "--seeds", "2", "--out", str(tmp_path / "bench"))
+    assert len(repair_configs) == len(PRESET_NAMES)
+    assert configs == repair_configs
+    assert [c.mode for c in configs] == list(PRESET_NAMES)
 
 
 def test_config_value_of_wrong_type_exits_one_without_traceback(tmp_path, capsys):
@@ -353,6 +396,8 @@ def test_config_numbers_accepted():
     config = apply_overrides(RunConfig(), {"p_mut": 1, "p_cross": 0.5, "max_seconds": 3})
     config.validate()
     RunConfig(max_seconds=None).validate()
+    RunConfig(seed=0).validate()
+    RunConfig(seed=2**64 - 1).validate()
 
 
 def _bug_copy(tmp_path, bug_json: str):
@@ -408,6 +453,28 @@ def test_bench_with_bad_bug_json_exits_one(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "step_budget must be a positive integer" in err
+    assert not (tmp_path / "bench").exists()
+
+
+# the rng folds a seed modulo 2^64: -5 once ran as 2^64 - 5, and 2^64 + 1 as 1
+@pytest.mark.parametrize("seed", ["-5", str(2**64 + 1)])
+def test_repair_seed_outside_64_bits_exits_one(tmp_path, capsys, seed):
+    code = run_cli("repair", str(CORPUS / "abs-sign"), "--mode", "jmutrepair",
+                   "--seed", seed, "--out", str(tmp_path / "out"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be in [0, 2**64)") and seed in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bench_negative_seed_exits_one(tmp_path, capsys):
+    code = run_cli("bench", str(CORPUS), "--bugs", "abs-sign", "--modes", "jkali",
+                   "--seeds", "-1", "--out", str(tmp_path / "bench"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be in [0, 2**64), got -1")
+    assert "Traceback" not in err
     assert not (tmp_path / "bench").exists()
 
 

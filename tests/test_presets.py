@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from minirepair.config import ConfigError, RunConfig
 from minirepair.presets import PRESET_NAMES, config_from_preset, preset, render_table
 
 REPO = Path(__file__).resolve().parent.parent
@@ -51,8 +52,6 @@ def test_deeprepair_lite_similarity_components():
 
 
 def test_every_preset_field_names_an_implemented_component():
-    from minirepair.config import RunConfig
-
     for name in PRESET_NAMES:
         config = config_from_preset(name)
         config.validate()
@@ -69,6 +68,20 @@ def test_overrides_win_over_preset():
     assert config.navigation == "selective"
     assert config.seed == 9
     assert config.operator_space == "irr-statements"
+
+
+def test_unknown_override_key_names_the_key():
+    with pytest.raises(ConfigError, match="unknown config key 'step_bugdet'"):
+        config_from_preset("jkali", step_bugdet=5)
+
+
+def test_each_preset_is_a_run_config_named_by_its_mode():
+    for name in PRESET_NAMES:
+        config = preset(name)
+        assert isinstance(config, RunConfig) and config.mode == name
+        assert config == config_from_preset(name)
+    preset("jkali").seed = 7  # a copy: the next run starts from the preset
+    assert preset("jkali").seed == RunConfig().seed
 
 
 def test_rendered_table_matches_golden_file():
