@@ -119,10 +119,12 @@ def _flags(args) -> dict:
 
 
 def build_config(args, meta: dict | None = None) -> RunConfig:
-    """The preset of `--mode` (or `custom`), then the `--config` file, then
-    bug.json's step budget, then the flags, `--mode` among them."""
-    base = RunConfig() if args.mode == "custom" else preset(args.mode)
+    """The preset of `--mode`, else of the `--config` file's `mode` (else
+    `custom`), then the `--config` file, then bug.json's step budget, then
+    the flags, `--mode` among them."""
     file_values = parse_config_file(args.config) if args.config else {}
+    mode = args.mode or file_values.get("mode", "custom")
+    base = RunConfig() if mode == "custom" else preset(mode)
     budget = {"step_budget": (meta or {}).get("step_budget")}
     return configure(base, file_values, budget, _flags(args))
 
@@ -249,6 +251,11 @@ def cmd_bench(args) -> int:
         return 1
     bugs = args.bugs.split(",") if args.bugs else discover_bugs(corpus)
     modes = args.modes.split(",")
+    for option, items in (("--modes", modes), ("--bugs", bugs)):
+        repeated = next((item for i, item in enumerate(items) if item in items[:i]), None)
+        if repeated is not None:
+            print(f"error: {option} repeats {repeated!r}", file=sys.stderr)
+            return 1
     try:
         seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError:
@@ -280,7 +287,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     repair = sub.add_parser("repair", help="search for patches for one project")
     repair.add_argument("project_dir")
-    repair.add_argument("--mode", default="custom", choices=("custom",) + PRESET_NAMES)
+    repair.add_argument("--mode", default=None, choices=("custom",) + PRESET_NAMES)
     repair.add_argument("--seed", type=int, default=None)
     repair.add_argument("--max-solutions", type=int, default=None)
     repair.add_argument("--max-iterations", type=int, default=None)

@@ -755,17 +755,41 @@ class RepairSession:
             memo = memos[key] = VerdictMemo()
         return memo
 
-    # -- stop conditions ------------------------------------------------------------
+    # -- search steps ---------------------------------------------------------------
 
-    def _should_stop(self) -> Optional[str]:
-        if len(self.solutions) >= self.config.max_solutions:
-            return "solutions"
-        if self.stats.iterations >= self.config.max_iterations:
-            return "iterations"
-        if self.config.max_seconds is not None:
-            if time.monotonic() - self._start_time >= self.config.max_seconds:
-                return "wall-clock"
-        return None
+    def _stopped(self, exhausted: bool = False) -> bool:
+        """Whether the search ends here, with the reason in `stop_reason`:
+        enough solutions, the iteration or wall-clock budget spent, or, when
+        `exhausted` is asked, no (point, operator) pair left to try."""
+        config = self.config
+        if len(self.solutions) >= config.max_solutions:
+            reason = "solutions"
+        elif self.stats.iterations >= config.max_iterations:
+            reason = "iterations"
+        elif (config.max_seconds is not None
+              and time.monotonic() - self._start_time >= config.max_seconds):
+            reason = "wall-clock"
+        elif exhausted and self.space_exhausted():
+            reason = "exhausted"
+        else:
+            return False
+        self.stats.stop_reason = reason
+        return True
+
+    def _mutations(self, count: int) -> list[Transformation]:
+        """The transformations of one pick: `count` points, then for each
+        point an operator and the next untried transformation of the pair;
+        the pairs with none left add nothing."""
+        transformations = []
+        for point in select_points(self.points, self.config.point_selection, count,
+                                   self.rng.points, self._point_prefix):
+            op = select_operator(self.space, self.config.operator_selection, self.rng.operators,
+                                 weights=self.config.operator_weights, counter=self._op_counter)
+            self._op_counter += 1
+            t = self.create_transformation(point, op)
+            if t is not None:
+                transformations.append(t)
+        return transformations
 
     # -- navigation -------------------------------------------------------------------
 
@@ -786,39 +810,11 @@ class RepairSession:
         return RepairOutcome(patches, self.stats, self.config, self.solutions, self)
 
     def _run_selective(self) -> None:
-        while True:
-            reason = self._should_stop()
-            if reason:
-                self.stats.stop_reason = reason
-                return
-            if self.space_exhausted():
-                self.stats.stop_reason = "exhausted"
-                return
+        while not self._stopped(exhausted=True):
             self.stats.iterations += 1
-            iteration = self.stats.iterations
-            chosen = select_points(
-                self.points,
-                self.config.point_selection,
-                self.config.points_per_iteration,
-                self.rng.points,
-                self._point_prefix,
-            )
-            transformations = []
-            for point in chosen:
-                op = select_operator(
-                    self.space,
-                    self.config.operator_selection,
-                    self.rng.operators,
-                    weights=self.config.operator_weights,
-                    counter=self._op_counter,
-                )
-                self._op_counter += 1
-                t = self.create_transformation(point, op)
-                if t is not None:
-                    transformations.append(t)
-            if not transformations:
-                continue
-            self._validate(self.new_variant(transformations, 0), iteration)
+            transformations = self._mutations(self.config.points_per_iteration)
+            if transformations:
+                self._validate(self.new_variant(transformations, 0), self.stats.iterations)
 
     def _exhaustive_candidates(self, point: ModificationPoint, op: RepairOperator):
         """Yield transformations for one (point, operator) pair in
@@ -848,14 +844,12 @@ class RepairSession:
         for point in select_points(self.points, "sequential", len(self.points), self.rng.points):
             for op in self.space.operators:
                 for t in self._exhaustive_candidates(point, op):
-                    reason = self._should_stop()
-                    if reason:
-                        self.stats.stop_reason = reason
+                    if self._stopped():
                         return
                     self.stats.iterations += 1
                     self._validate(self.new_variant([t], 0), self.stats.iterations)
-        reason = self._should_stop()
-        self.stats.stop_reason = reason if reason else "completed"
+        if not self._stopped():
+            self.stats.stop_reason = "completed"
 
     def _run_evolutionary(self) -> None:
         size = self.config.population
@@ -866,14 +860,7 @@ class RepairSession:
             variant.dirty = False
             population.append(variant)
 
-        while True:
-            reason = self._should_stop()
-            if reason:
-                self.stats.stop_reason = reason
-                return
-            if self.space_exhausted():
-                self.stats.stop_reason = "exhausted"
-                return
+        while not self._stopped(exhausted=True):
             self.stats.iterations += 1
             generation = self.stats.iterations
 
@@ -884,20 +871,7 @@ class RepairSession:
                 child.fitness = parent.fitness
                 child.dirty = False
                 if self.rng.points.random() < self.config.p_mut:
-                    point = select_points(
-                        self.points, self.config.point_selection, 1, self.rng.points,
-                        self._point_prefix,
-                    )[0]
-                    op = select_operator(
-                        self.space,
-                        self.config.operator_selection,
-                        self.rng.operators,
-                        weights=self.config.operator_weights,
-                        counter=self._op_counter,
-                    )
-                    self._op_counter += 1
-                    t = self.create_transformation(point, op)
-                    if t is not None:
+                    for t in self._mutations(1):
                         child.transformations.append(t)
                         child.dirty = True
                         produced_material = True
@@ -931,9 +905,7 @@ class RepairSession:
             for child in offspring:
                 if not child.dirty:
                     continue
-                reason = self._should_stop()
-                if reason:
-                    self.stats.stop_reason = reason
+                if self._stopped():
                     return
                 if self._validate(child, generation) is None:
                     child.fitness = None  # scope-rejected offspring dies out

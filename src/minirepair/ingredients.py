@@ -98,10 +98,29 @@ def _harvest_nodes(project: SourceProject, granularity: str):
                     yield sf, fn, node
 
 
-def _dedup_insert(bucket: list[Ingredient], seen: set[str], ing: Ingredient) -> None:
-    if ing.printed not in seen:
-        seen.add(ing.printed)
-        bucket.append(ing)
+def _pool(
+    project: SourceProject, scope: str, granularity: str, harvest: str, entry
+) -> IngredientPool:
+    """The pool of the project's nodes of granularity `harvest`, each made
+    into an entry by `entry(node) -> (subtree, free variables)` or skipped
+    where that gives None, grouped by scope key and deduplicated by printed
+    form (first occurrence in node-id order wins)."""
+    pool = IngredientPool(scope, granularity)
+    seen: set[tuple[str, str]] = set()
+    for sf, fn, node in _harvest_nodes(project, harvest):
+        made = entry(node)
+        if made is None:
+            continue
+        subtree, free_vars = made
+        key = pool.scope_key(sf.path, sf.module)
+        printed = print_tree(subtree)
+        if (key, printed) not in seen:
+            seen.add((key, printed))
+            pool.entries_by_key.setdefault(key, []).append(Ingredient(
+                printed, subtree, granularity, node.node_id, sf.path, sf.module, fn.name,
+                free_vars,
+            ))
+    return pool
 
 
 def build_pool(
@@ -112,23 +131,8 @@ def build_pool(
 ) -> IngredientPool:
     """Collect every subtree of the granularity, grouped by scope key and
     deduplicated by printed form (first occurrence in node-id order wins)."""
-    pool = IngredientPool(scope, granularity)
-    seen: dict[str, set[str]] = {}
-    for sf, fn, node in _harvest_nodes(project, granularity):
-        ing = Ingredient(
-            printed=print_tree(node),
-            subtree=node,
-            granularity=granularity,
-            node_id=node.node_id,
-            origin_file=sf.path,
-            origin_module=sf.module,
-            origin_function=fn.name,
-            free_vars=free_variables(node, types),
-        )
-        key = pool.scope_key(sf.path, sf.module)
-        bucket = pool.entries_by_key.setdefault(key, [])
-        _dedup_insert(bucket, seen.setdefault(key, set()), ing)
-    return pool
+    return _pool(project, scope, granularity, granularity,
+                 lambda node: (node, free_variables(node, types)))
 
 
 # -- templates ---------------------------------------------------------------
@@ -166,29 +170,14 @@ def abstract_expression(node: Node, types: ProjectTypes) -> tuple[Node, list[tup
 
 def mine_templates(project: SourceProject, types: ProjectTypes, scope: str = "global") -> IngredientPool:
     """Template pool mined from every composite expression in the project."""
-    pool = IngredientPool(scope, "template")
-    seen: dict[str, set[str]] = {}
-    for sf, fn, node in _harvest_nodes(project, "expression"):
+
+    def template(node):
         if node.kind not in COMPOSITE_EXPRESSION_KINDS:
-            continue
+            return None
         result = abstract_expression(node, types)
-        if result is None:
-            continue
-        tree, placeholders = result
-        ing = Ingredient(
-            printed=print_tree(tree),
-            subtree=tree,
-            granularity="template",
-            node_id=node.node_id,
-            origin_file=sf.path,
-            origin_module=sf.module,
-            origin_function=fn.name,
-            free_vars=frozenset(placeholders),
-        )
-        key = pool.scope_key(sf.path, sf.module)
-        bucket = pool.entries_by_key.setdefault(key, [])
-        _dedup_insert(bucket, seen.setdefault(key, set()), ing)
-    return pool
+        return None if result is None else (result[0], frozenset(result[1]))
+
+    return _pool(project, scope, "template", "expression", template)
 
 
 # -- name statistics and similarity -------------------------------------------

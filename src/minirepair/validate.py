@@ -78,26 +78,19 @@ def validate_variant(
     step_budget: int,
     short_circuit: bool = True,
 ) -> ValidationResult:
-    """Run the suite against a variant, originally-failing tests first."""
+    """Run the suite against a variant, originally-failing tests first;
+    with `short_circuit`, a failure among them skips the passing tests."""
     verdicts: list[tuple[str, bool]] = []
     steps = 0
     failing = 0
-
-    first_phase = _run_tests(variant_project, baseline.failing, step_budget)
-    for result in first_phase:
-        verdicts.append((result.test.name, result.passed))
-        steps += result.trace.steps
-        if not result.passed:
-            failing += 1
-    if short_circuit and failing > 0:
-        return ValidationResult(tuple(verdicts), failing, True, steps)
-
-    second_phase = _run_tests(variant_project, baseline.passing, step_budget)
-    for result in second_phase:
-        verdicts.append((result.test.name, result.passed))
-        steps += result.trace.steps
-        if not result.passed:
-            failing += 1
+    for phase in (baseline.failing, baseline.passing):
+        if short_circuit and failing > 0:
+            return ValidationResult(tuple(verdicts), failing, True, steps)
+        for result in _run_tests(variant_project, phase, step_budget):
+            verdicts.append((result.test.name, result.passed))
+            steps += result.trace.steps
+            if not result.passed:
+                failing += 1
     return ValidationResult(tuple(verdicts), failing, False, steps)
 
 

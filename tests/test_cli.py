@@ -298,6 +298,45 @@ def test_unknown_config_key_is_an_error(tmp_path):
     assert code == 1
 
 
+def test_config_file_mode_picks_the_preset_unless_mode_is_given(tmp_path):
+    config_file = tmp_path / "run.conf"
+    config_file.write_text("mode = jkali\n")
+    for flags, mode, space in (((), "jkali", "suppression"),
+                               (("--mode", "jmutrepair"), "jmutrepair", "relational-logical")):
+        out = tmp_path / f"out-{mode}"
+        run_cli("repair", str(CORPUS / "abs-sign"), "--config", str(config_file), *flags,
+                "--max-iterations", "0", "--out", str(out))
+        config = json.loads((out / "report.json").read_text())["config"]
+        assert (config["mode"], config["operator_space"], config["navigation"]) == (
+            mode, space, "exhaustive")
+
+
+def test_config_file_unknown_mode_exits_one(tmp_path, capsys):
+    config_file = tmp_path / "run.conf"
+    config_file.write_text("mode = nosuch\n")
+    code = run_cli("repair", str(CORPUS / "abs-sign"), "--config", str(config_file),
+                   "--out", str(tmp_path / "out"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'nosuch'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("modes, bugs, message", [
+    ("jkali,jmutrepair,jkali", "abs-sign", "--modes repeats 'jkali'"),
+    ("jkali", "abs-sign,abs-sign", "--bugs repeats 'abs-sign'"),
+], ids=["modes", "bugs"])
+def test_bench_repeated_item_exits_one(tmp_path, capsys, modes, bugs, message):
+    code = run_cli("bench", str(CORPUS), "--modes", modes, "--bugs", bugs, "--seeds", "1",
+                   "--out", str(tmp_path / "bench"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}\n")
+    assert "Traceback" not in err
+    assert not (tmp_path / "bench").exists()
+
+
 def test_bug_step_budget_applies(tmp_path):
     """bug.json's step budget beats the config file's, and --step-budget
     beats bug.json's."""

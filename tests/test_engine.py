@@ -283,6 +283,38 @@ def test_budget_max_solutions_stops_at_first_patch():
     assert outcome.stats.stop_reason == "solutions"
 
 
+@pytest.mark.parametrize("mode, overrides, reason", [
+    ("jmutrepair", {"navigation": "selective"}, "solutions"),
+    ("jmutrepair", {"navigation": "selective", "max_solutions": 100, "max_iterations": 5},
+     "iterations"),
+    ("jmutrepair", {"navigation": "selective", "max_seconds": 0}, "wall-clock"),
+    ("jmutrepair", {"navigation": "selective", "max_solutions": 100}, "exhausted"),
+    ("jmutrepair", {"navigation": "evolutionary"}, "solutions"),
+    ("jmutrepair", {"navigation": "evolutionary", "max_solutions": 100, "max_iterations": 5},
+     "iterations"),
+    ("jmutrepair", {"navigation": "evolutionary", "max_seconds": 0}, "wall-clock"),
+    ("jmutrepair", {"navigation": "evolutionary", "max_solutions": 100}, "exhausted"),
+    # the generation that uses up the space is the last one the budget
+    # allows: the end-of-generation check decides before the next head's
+    ("jmutrepair", {"navigation": "evolutionary", "max_solutions": 100, "max_iterations": 17},
+     "exhausted"),
+    ("jmutrepair", {"navigation": "evolutionary", "max_solutions": 100, "max_iterations": 16},
+     "iterations"),
+    ("jkali", {}, "completed"),
+    ("jkali", {"max_iterations": 3}, "iterations"),
+    ("jkali", {"max_seconds": 0}, "wall-clock"),
+])
+def test_every_navigation_records_each_stop_reason(mode, overrides, reason):
+    project, suite, meta = load_bug("abs-sign")
+    config = config_from_preset(mode, seed=1, step_budget=meta["step_budget"], **overrides)
+    stats = navigate(project, suite, config).stats
+    assert stats.stop_reason == reason
+    if reason == "iterations":
+        assert stats.iterations == config.max_iterations
+    if reason == "wall-clock":
+        assert stats.iterations == 0
+
+
 def test_no_search_space_outcome():
     # no relational/logical expression anywhere: jmutrepair has no points
     project = parse_project([("main.mini", "fn f(x: int) -> int { return x + 1; }")])
