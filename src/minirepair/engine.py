@@ -20,13 +20,12 @@ per project and its tree is built only when a variant is materialized.
 They also share what they learn by running the suite: the baseline
 spectrum, with the suspiciousness ranking and the modification points
 derived from it for each formula, cut-off and granularity; the verdicts of
-edit lists (`VerdictMemo`): of every one-edit variant, and of each list of
-several edits once it was seen a second time, since most such lists are
-never seen again; and the results of refinement's full-suite runs, kept
-with the verdicts (`validate.refine_patches`).  Where a deep MiniLang
-recursion hits Python's RecursionError depends on the caller's stack, so
-all of these are shared only between sessions started from the same stack
-position (`stack_position`); plans hold no verdicts and need no such key.
+edit lists (`VerdictMemo`), each stored the first time it runs; and the
+results of refinement's full-suite runs, kept with the verdicts
+(`validate.refine_patches`).  Where a deep MiniLang recursion hits
+Python's RecursionError depends on the caller's stack, so all of these
+are shared only between sessions started from the same stack position
+(`stack_position`); plans hold no verdicts and need no such key.
 A session's outcome is that of a fresh project, whichever sessions ran
 before it.
 """
@@ -311,8 +310,6 @@ def edit_list(transformations) -> tuple:
 
 REJECTED = -1  # verdict memo value of a variant the type gate rejects
 ID_BITS = 21  # width of one edit's id in the key of an edit list
-SEEN_BITS = 17  # log2 of the size of a verdict memo's admission bit array
-_MIX = 0x9E3779B97F4A7C15  # odd 64-bit multiplier whose high product bits see every key bit
 
 
 class VerdictMemo:
@@ -323,28 +320,21 @@ class VerdictMemo:
     from 1 in the order the memo first sees it, and a list's key packs its
     ids ID_BITS apiece, so a one-edit list's key is its edit's id and keys
     of different lists differ.  A list with an id that does not fit has no
-    key and is never stored.
+    key and is never stored.  Every keyed verdict is stored the first time
+    its list runs; the packed keys keep an entry small.
 
-    One-edit verdicts are stored at once: their number is bounded by the
-    one-edit search space.  Lists of several edits mostly never repeat, so
-    one is stored only when it is seen a second time ("cache on second
-    hit"): its first sighting sets a bit of the fixed-size array `seen`,
-    and a set bit admits it.  Another list that shares the bit only gets
-    stored a sighting early, so every stored verdict is still exact.
-
-    The memo also keeps, by the same keys and from first sight, the
-    results of refinement's full-suite runs (`validate.refine_patches`):
-    `trials` of minimization, `finals` of the minimized lists.  They run
+    The memo also keeps, by the same keys, the results of refinement's
+    full-suite runs (`validate.refine_patches`): `trials` of
+    minimization, `finals` of the minimized lists.  They run
     on other frame paths than the search and than each other, so where a
     deep recursion overflows they can differ, and no kind answers for
     another."""
 
-    __slots__ = ("ids", "verdicts", "seen", "trials", "finals")
+    __slots__ = ("ids", "verdicts", "trials", "finals")
 
     def __init__(self) -> None:
         self.ids: dict[tuple, int] = {}
         self.verdicts: dict[int, int] = {}
-        self.seen = bytearray(1 << (SEEN_BITS - 3))
         self.trials: dict[int, tuple[int, int]] = {}
         self.finals: dict[int, tuple] = {}
 
@@ -360,19 +350,6 @@ class VerdictMemo:
                 return None
             key = key << ID_BITS | edit_id
         return key
-
-    def admits(self, key: int) -> bool:
-        """Whether to store the verdict of the list with `key`, which just
-        ran: a one-edit list's always, a longer list's when its bit shows a
-        sighting before this one; else the bit now records this sighting."""
-        if key >> ID_BITS == 0:
-            return True
-        bit = (hash(key) * _MIX & 0xFFFFFFFFFFFFFFFF) >> (64 - SEEN_BITS)
-        byte, mask = bit >> 3, 1 << (bit & 7)
-        if self.seen[byte] & mask:
-            return True
-        self.seen[byte] |= mask
-        return False
 
 
 @dataclass
@@ -506,8 +483,15 @@ class RepairSession:
         if counter is not None:
             setattr(self.stats, counter, getattr(self.stats, counter) + 1)
 
-    def space_exhausted(self) -> bool:
-        return len(self._exhausted_pairs) >= len(self.points) * len(self.space.operators)
+    def space_exhausted(self, pick: int) -> bool:
+        """Whether no (point, operator) pair that a pick of `pick` points
+        can reach has anything left to try.  sequential reaches only the
+        top `pick` points, the same on every pick, and a pick marks only
+        the pairs of points it reached."""
+        reachable = len(self.points)
+        if self.config.point_selection == "sequential":
+            reachable = min(pick, reachable)
+        return len(self._exhausted_pairs) >= reachable * len(self.space.operators)
 
     def create_transformation(
         self, point: ModificationPoint, op: RepairOperator
@@ -691,8 +675,7 @@ class RepairSession:
         the sessions run from the same stack position; a hit skips the
         materialization and the suite run and counts the variant exactly as
         running it would.  A miss runs the variant and stores its verdict
-        if the memo admits it: a one-edit list at once, a list of several
-        edits at its second sighting (`VerdictMemo`)."""
+        under the list's key, if it has one (`VerdictMemo`)."""
         signature = edit_list(variant.transformations)
         if signature in self._validated_signatures:
             self.stats.duplicates += 1
@@ -712,7 +695,7 @@ class RepairSession:
                 result = validate_variant(project, self.baseline, self.config.step_budget)
                 # fitness and steps packed into one int keep an entry small
                 verdict = result.steps * (len(self.suite) + 1) + fitness(result)
-            if key is not None and memo.admits(key):
+            if key is not None:
                 memo.verdicts[key] = verdict
         if verdict == REJECTED:
             self.stats.rejected_typecheck += 1
@@ -757,10 +740,11 @@ class RepairSession:
 
     # -- search steps ---------------------------------------------------------------
 
-    def _stopped(self, exhausted: bool = False) -> bool:
+    def _stopped(self, pick: int = 0) -> bool:
         """Whether the search ends here, with the reason in `stop_reason`:
         enough solutions, the iteration or wall-clock budget spent, or, when
-        `exhausted` is asked, no (point, operator) pair left to try."""
+        the search picks `pick` points at a time, no pair such a pick can
+        reach left to try (`space_exhausted`)."""
         config = self.config
         if len(self.solutions) >= config.max_solutions:
             reason = "solutions"
@@ -769,7 +753,7 @@ class RepairSession:
         elif (config.max_seconds is not None
               and time.monotonic() - self._start_time >= config.max_seconds):
             reason = "wall-clock"
-        elif exhausted and self.space_exhausted():
+        elif pick and self.space_exhausted(pick):
             reason = "exhausted"
         else:
             return False
@@ -810,9 +794,10 @@ class RepairSession:
         return RepairOutcome(patches, self.stats, self.config, self.solutions, self)
 
     def _run_selective(self) -> None:
-        while not self._stopped(exhausted=True):
+        pick = self.config.points_per_iteration
+        while not self._stopped(pick):
             self.stats.iterations += 1
-            transformations = self._mutations(self.config.points_per_iteration)
+            transformations = self._mutations(pick)
             if transformations:
                 self._validate(self.new_variant(transformations, 0), self.stats.iterations)
 
@@ -860,7 +845,7 @@ class RepairSession:
             variant.dirty = False
             population.append(variant)
 
-        while not self._stopped(exhausted=True):
+        while not self._stopped(1):
             self.stats.iterations += 1
             generation = self.stats.iterations
 
@@ -920,7 +905,7 @@ class RepairSession:
             )
             population = pool[:size]
 
-            if not produced_material and self.space_exhausted():
+            if not produced_material and self.space_exhausted(1):
                 self.stats.stop_reason = "exhausted"
                 return
 

@@ -303,6 +303,12 @@ def test_budget_max_solutions_stops_at_first_patch():
     ("jkali", {}, "completed"),
     ("jkali", {"max_iterations": 3}, "iterations"),
     ("jkali", {"max_seconds": 0}, "wall-clock"),
+    # jkali's sequential point selection picks the same top point every
+    # time, so its space is that point's pairs
+    ("jkali", {"navigation": "selective", "max_solutions": 100, "max_iterations": 300},
+     "exhausted"),
+    ("jkali", {"navigation": "evolutionary", "max_solutions": 100, "max_iterations": 300},
+     "exhausted"),
 ])
 def test_every_navigation_records_each_stop_reason(mode, overrides, reason):
     project, suite, meta = load_bug("abs-sign")

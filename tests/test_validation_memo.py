@@ -3,12 +3,11 @@
 The sessions on one project object share the baseline spectrum with the
 modification points ranked from it, the verdicts of edit lists and the
 results of refinement's full-suite runs (`SourceProject.analysis`), keyed
-by the stack position the session was started from: the verdicts of every
-one-edit variant, and of each list of several edits from its second
-sighting on.  The sessions must not notice: each report and patch equals
-that of a session on a freshly loaded project at the same stack depth, in
-any order, and that of sessions that run every list of several edits, as
-before such lists were stored.
+by the stack position the session was started from.  Every verdict is
+stored the first time its edit list runs.  The sessions must not notice:
+each report and patch equals that of a session on a freshly loaded
+project at the same stack depth, in any order, and that of sessions that
+run every list of several edits, storing only one-edit verdicts.
 """
 
 import dataclasses
@@ -124,9 +123,11 @@ def count_materialized_lists(monkeypatch) -> list[int]:
 
 
 def store_no_lists(monkeypatch):
-    """The oracle rule: a list of several edits always runs, and only
-    one-edit verdicts are stored."""
-    monkeypatch.setattr(VerdictMemo, "admits", lambda self, key: key >> ID_BITS == 0)
+    """The oracle rule: a list of several edits has no key, so it always
+    runs, and only one-edit verdicts are stored."""
+    real_key = VerdictMemo.key
+    monkeypatch.setattr(VerdictMemo, "key", lambda self, signature:
+                        real_key(self, signature) if len(signature) == 1 else None)
 
 
 def test_stored_lists_give_fresh_artifacts(monkeypatch):
@@ -234,12 +235,11 @@ def test_a_repeated_one_edit_variant_runs_nothing(mode, monkeypatch):
     (first, first_searched), (second, second_searched), (third, third_searched) = runs
     assert second == first and third == first
     assert any(edits == 1 and ran for edits, ran in first_searched)
-    # the second session runs every list of several edits again, which
-    # stores it; the third materializes nothing
-    assert second_searched == [entry for entry in first_searched if entry[0] > 1]
-    assert third_searched == []
+    # every verdict is stored at first sight, so the later sessions
+    # materialize nothing
+    assert second_searched == [] and third_searched == []
     if config(mode, 1, meta).navigation == "evolutionary":
-        assert any(edits > 1 for edits, _ in second_searched)
+        assert any(edits > 1 for edits, _ in first_searched)
 
 
 def edit_lists(count, length):
@@ -248,23 +248,15 @@ def edit_lists(count, length):
             for first in range(1000, 1000 + count)]
 
 
-@pytest.mark.parametrize("length", (2, 3, 4))
-def test_a_list_is_stored_at_its_second_sighting(length):
-    memo = VerdictMemo()
-    size = len(memo.seen)
-    lists = edit_lists(64, length)
-    keys = [memo.key(signature) for signature in lists]
-    assert len(set(keys)) == len(keys)
-    # the lists differ only in their first edit, which the bit must see
-    assert not any(memo.admits(key) for key in keys)
-    assert all(memo.admits(key) for key in keys)
-    assert len(memo.seen) == size
-    # a one-edit list is stored at first sight; its key is its edit's id
-    one = memo.key(lists[0][:1])
-    assert one == memo.ids[lists[0][0]] and memo.admits(one)
-
-
 def test_a_list_whose_ids_do_not_fit_has_no_key(monkeypatch):
+    memo = VerdictMemo()
+    for length in (2, 3, 4):
+        keys = [memo.key(signature) for signature in edit_lists(64, length)]
+        # the lists differ only in their first edit
+        assert len(set(keys)) == len(keys)
+    one = edit_lists(1, 1)[0]
+    assert memo.key(one) == memo.ids[one[0]]  # a one-edit list's key is its edit's id
+
     monkeypatch.setattr(engine, "ID_BITS", 2)  # ids 1 to 3 fit
     memo = VerdictMemo()
     edits = [signature[0] for signature in edit_lists(4, 1)]
@@ -273,7 +265,7 @@ def test_a_list_whose_ids_do_not_fit_has_no_key(monkeypatch):
     assert memo.key((edits[0], edits[3])) is None
 
 
-def test_the_search_stores_a_list_at_its_second_sighting(monkeypatch):
+def test_the_search_stores_a_list_at_first_sight(monkeypatch):
     materialized = count_materialized_lists(monkeypatch)
     project, suite, meta = load_bug("count-down")
     lists = []
@@ -281,12 +273,10 @@ def test_the_search_stores_a_list_at_its_second_sighting(monkeypatch):
         materialized[0] = 0
         navigate(project, suite, config("jgenprog", 1, meta))
         (memo,) = project.analysis["verdicts"].values()
-        lists.append((materialized[0], sum(key >> ID_BITS > 0 for key in memo.verdicts),
-                      len(memo.seen)))
-    (ran, stored, size), again, third = lists
-    assert ran > 0 and stored == 0
-    assert again == (ran, ran, size)
-    assert third == (0, ran, size)
+        lists.append((materialized[0], sum(key >> ID_BITS > 0 for key in memo.verdicts)))
+    (ran, stored), again, third = lists
+    assert ran > 0 and stored == ran
+    assert again == third == (0, ran)
 
 
 def test_one_key_names_one_concrete_tree(corpus_names, monkeypatch):
