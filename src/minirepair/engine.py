@@ -15,19 +15,18 @@ lets selective runs detect a fully exhausted space and stop early.
 
 Sessions on one project object share what depends on the project alone
 (`SourceProject.analysis`): among it, each entry's candidate plan at each
-point, with the printed forms read so far, so a candidate is printed once
-per project and its tree is built only when a variant is materialized.
-They also share what they learn by running the suite: the baseline
-spectrum, with the suspiciousness ranking and the modification points
-derived from it for each formula, cut-off and granularity; the verdicts of
-edit lists (`VerdictMemo`), each stored the first time it runs; and the
-results of refinement's full-suite runs, kept with the verdicts
-(`validate.refine_patches`).  Where a deep MiniLang recursion hits
-Python's RecursionError depends on the caller's stack, so all of these
-are shared only between sessions started from the same stack position
-(`stack_position`); plans hold no verdicts and need no such key.
-A session's outcome is that of a fresh project, whichever sessions ran
-before it.
+point, printed in full when it is made, so a candidate is printed once per
+project and its tree is built only when a variant is materialized.  What
+they learn by running the suite is kept on its baseline spectrum
+(`validate.Baseline`): the suspiciousness ranking and modification points
+for each formula, cut-off and granularity, and the verdict memos
+(`VerdictMemo`) of edit lists, each stored the first time it runs, with
+the results of refinement's full-suite runs (`validate.refine_patches`).
+Where a deep MiniLang recursion hits Python's RecursionError depends on
+the caller's stack, so a baseline is shared only by sessions constructed
+from one stack position, and a memo only by its sessions run from one
+position (`stack_position`); plans hold no verdicts and need no such key.
+A session's outcome is that of a fresh project, whichever ran before it.
 """
 
 from __future__ import annotations
@@ -282,8 +281,9 @@ def select_operator(
     counter: int = 0,
 ) -> RepairOperator:
     """uniform-random, weighted-random (`weights`, a distribution over the
-    space that `RunConfig.validate` checked), or sequential (fixed space
-    order, advancing per iteration)."""
+    space that `RunConfig.validate` checked; weight 0 is never drawn), or
+    sequential (fixed space order; the j-th point of a session's k-th pick
+    passes `counter` k + j, so each point of a pick meets every operator)."""
     return OPERATOR_SELECTIONS[strategy](space.operators, rng, weights, counter)
 
 
@@ -398,9 +398,8 @@ class RepairSession:
 
         # the spectrum of the suite, shared by the sessions constructed at
         # this stack position; run_suite stays one frame below __init__
-        self._suite_key = tuple(map(repr, self.suite))
         baselines = self._shared("baselines", dict)
-        key = (self._suite_key, config.step_budget, sys.getrecursionlimit(),
+        key = (tuple(map(repr, self.suite)), config.step_budget, sys.getrecursionlimit(),
                stack_position(sys._getframe(1)))
         self.baseline = baselines.get(key)
         if self.baseline is None:
@@ -437,10 +436,9 @@ class RepairSession:
     def _shared(self, key, build):
         """The project's analysis under `key`, built on first use by any
         session.  It depends on the project alone, which no session
-        modifies; sessions only read it, except that they add entries to
-        the memos of suite runs ("baselines", with the points of each
-        baseline, and "verdicts", with refinement's results) and of
-        candidate plans ("plans")."""
+        modifies; sessions only read it, except that they add baselines,
+        with what running the suite taught them (`validate.Baseline`),
+        under "baselines", and whole candidate plans under "plans"."""
         analysis = self.project.analysis
         if key not in analysis:
             analysis[key] = build()
@@ -485,13 +483,17 @@ class RepairSession:
 
     def space_exhausted(self, pick: int) -> bool:
         """Whether no (point, operator) pair that a pick of `pick` points
-        can reach has anything left to try.  sequential reaches only the
-        top `pick` points, the same on every pick, and a pick marks only
-        the pairs of points it reached."""
+        can reach has anything left to try.  sequential point selection
+        reaches only the top `pick` points, the same on every pick;
+        weighted-random operator selection reaches only the operators of
+        positive weight; and a pick marks only the pairs it reached."""
         reachable = len(self.points)
         if self.config.point_selection == "sequential":
             reachable = min(pick, reachable)
-        return len(self._exhausted_pairs) >= reachable * len(self.space.operators)
+        ops = self.space.operators
+        if self.config.operator_selection == "weighted-random":
+            ops = [op for op in ops if self.config.operator_weights[op.name] > 0]
+        return len(self._exhausted_pairs) >= reachable * len(ops)
 
     def create_transformation(
         self, point: ModificationPoint, op: RepairOperator
@@ -505,12 +507,12 @@ class RepairSession:
         session on it.  A transformation names its candidate by plan and
         index; the tree is built only when a variant is materialized.
 
-        Each pick scans the entry's plan from the top for the first printed
-        form new to the attempt cache, and a used-up plan seals the entry.
-        Every form before the one the last pick took is printed in the plan
-        and in the cache already, and the cache only grows, so the scan
-        takes what resuming after that pick would and prints no form twice.
-        random-var draws anew on every pick instead (`_draw_candidate`)."""
+        Each pick scans the entry's printed forms from the top for the
+        first one new to the attempt cache, and a used-up plan seals the
+        entry.  Every form before the one the last pick took is in the cache
+        already, and the cache only grows, so the scan takes what resuming
+        after that pick would.  random-var draws anew on every pick instead
+        (`_draw_candidate`)."""
         counter = self._exhausted_pairs.get((point.node_id, op.name))
         if counter is not None:
             setattr(self.stats, counter, getattr(self.stats, counter) + 1)
@@ -543,8 +545,8 @@ class RepairSession:
         plan = self._plan(ingredient, point)
         if not plan:
             return self._untransformable(key)
-        for index in range(len(plan)):
-            if self.cache.check_and_add(point.node_id, op.name, self._printed(plan, index)):
+        for index, printed in enumerate(plan.printed):
+            if self.cache.check_and_add(point.node_id, op.name, printed):
                 return Transformation(point, op, plan, index)
         self.cache.check_and_add(*key)  # the plan is used up: seal the entry
         self.stats.duplicates += 1
@@ -565,7 +567,7 @@ class RepairSession:
         if drawn is None:
             return self._untransformable(key)
         plan, index = drawn
-        printed = self._printed(plan, index)
+        printed = plan.printed[index]
         forms = self._drawn_forms.setdefault(key, set())
         forms.add(printed)
         new = self.cache.check_and_add(point.node_id, op.name, printed)
@@ -583,7 +585,8 @@ class RepairSession:
         (the project's plan of the entry at the point, the index of the
         drawn candidate in it), or None when some variable has no
         same-typed name in scope.  The plan holds the substitutions drawn
-        so far, by any session, so each form is printed once per project."""
+        so far, by any session, each printed when first drawn, so each form
+        is printed once per project."""
         drawn = transform_ingredient(ingredient, point.env, "random-var", rng=self.rng.transform)
         if not drawn:
             return None
@@ -595,14 +598,15 @@ class RepairSession:
             return plan, plan.substitutions.index(substitution)
         except ValueError:
             plan.substitutions.append(substitution)
+            plan.printed.append(print_tree(plan[len(plan) - 1]))
             return plan, len(plan) - 1
 
     def _plan(self, ingredient: Ingredient, point: ModificationPoint, names=()) -> Candidates:
-        """The candidates of `ingredient` at `point`: planned once per
-        project and transform strategy, except random-var's, which start
-        empty, with the out-of-scope `names`, and grow as sessions draw.
-        Where no variable is out of scope, every point shares the plan
-        `Ingredient.as_is`."""
+        """The candidates of `ingredient` at `point`, each printed when the
+        plan is made: planned once per project and transform strategy,
+        except random-var's, which start empty, with the out-of-scope
+        `names`, and grow as sessions draw (`_draw`).  Where no variable is
+        out of scope, every point shares the plan `Ingredient.as_is`."""
         strategy = self._ingredient_transform
         plans = self._shared(("plans", strategy), dict)
         # by the entry's identity: equal printed forms from other scopes can
@@ -615,18 +619,10 @@ class RepairSession:
             else:
                 model = self.name_model() if strategy == "name-probability" else None
                 plan = transform_ingredient(ingredient, point.env, strategy, name_model=model)
+                if not plan.printed:  # `Ingredient.as_is` comes printed
+                    plan.printed.extend(print_tree(plan[i]) for i in range(len(plan)))
             plans[key] = plan
         return plan
-
-    @staticmethod
-    def _printed(plan: Candidates, index: int) -> str:
-        """The printed form of candidate `index` of the plan.  Every reader
-        reads a plan's candidates in order, so the form is either known or
-        the next one to print."""
-        forms = plan.printed
-        if index == len(forms):
-            forms.append(print_tree(plan[index]))
-        return forms[index]
 
     def _similarity_if_needed(self):
         if self._ingredient_selection == "similarity":
@@ -671,10 +667,10 @@ class RepairSession:
         transformation sequence was already validated (possible via
         crossover recombination) reuses the recorded fitness.
 
-        The verdict is also looked up in the memo that `run` shares with
-        the sessions run from the same stack position; a hit skips the
-        materialization and the suite run and counts the variant exactly as
-        running it would.  A miss runs the variant and stores its verdict
+        The verdict is also looked up in the memo that `run` took from the
+        baseline, shared with the baseline's sessions run from the same
+        stack position; a hit skips the materialization and the suite run
+        and counts the variant exactly as running it would.  A miss runs the variant and stores its verdict
         under the list's key, if it has one (`VerdictMemo`)."""
         signature = edit_list(variant.transformations)
         if signature in self._validated_signatures:
@@ -724,20 +720,6 @@ class RepairSession:
         verdict memo, or None if it has none."""
         return self.verdicts.key(edit_list(transformations))
 
-    def _verdict_memo(self, caller) -> VerdictMemo:
-        """The project's verdict memo for this session's suite, baseline
-        order and step budget, at the stack position of `run`'s `caller`
-        and the current recursion limit: what a variant's verdict depends
-        on besides its edit list, which `apply_edits` applies alone."""
-        failing = tuple(i for i, r in enumerate(self.baseline.matrix.results) if not r.passed)
-        key = (self._suite_key, failing, self.config.step_budget, sys.getrecursionlimit(),
-               stack_position(caller))
-        memos = self._shared("verdicts", dict)
-        memo = memos.get(key)
-        if memo is None:
-            memo = memos[key] = VerdictMemo()
-        return memo
-
     # -- search steps ---------------------------------------------------------------
 
     def _stopped(self, pick: int = 0) -> bool:
@@ -763,13 +745,16 @@ class RepairSession:
     def _mutations(self, count: int) -> list[Transformation]:
         """The transformations of one pick: `count` points, then for each
         point an operator and the next untried transformation of the pair;
-        the pairs with none left add nothing."""
+        the pairs with none left add nothing.  The operator counter
+        advances once per pick, and the pick's j-th point passes it plus j
+        (`select_operator`)."""
         transformations = []
-        for point in select_points(self.points, self.config.point_selection, count,
-                                   self.rng.points, self._point_prefix):
+        counter = self._op_counter
+        self._op_counter += 1
+        for j, point in enumerate(select_points(self.points, self.config.point_selection, count,
+                                                self.rng.points, self._point_prefix)):
             op = select_operator(self.space, self.config.operator_selection, self.rng.operators,
-                                 weights=self.config.operator_weights, counter=self._op_counter)
-            self._op_counter += 1
+                                 weights=self.config.operator_weights, counter=counter + j)
             t = self.create_transformation(point, op)
             if t is not None:
                 transformations.append(t)
@@ -781,8 +766,11 @@ class RepairSession:
         self._start_time = time.monotonic()
         # every navigation calls _validate two frames below run, and run
         # calls refine_patches itself, so the stack position of run's caller
-        # fixes where each of the session's suite runs starts
-        self.verdicts = self._verdict_memo(sys._getframe(1))
+        # fixes where each suite run starts; the baseline fixes the rest
+        key = (sys.getrecursionlimit(), stack_position(sys._getframe(1)))
+        self.verdicts = self.baseline.memos.get(key)
+        if self.verdicts is None:
+            self.verdicts = self.baseline.memos[key] = VerdictMemo()
         try:
             if not self.points:
                 self.stats.stop_reason = "no-search-space"
@@ -821,7 +809,7 @@ class RepairSession:
                 plan = self._plan(entry, point)
                 candidates = [(plan, index) for index in range(len(plan))]
             for plan, index in candidates:
-                if self.cache.check_and_add(point.node_id, op.name, self._printed(plan, index)):
+                if self.cache.check_and_add(point.node_id, op.name, plan.printed[index]):
                     yield Transformation(point, op, plan, index)
         self._mark_exhausted(point, op)
 

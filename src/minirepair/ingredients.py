@@ -410,11 +410,12 @@ class Candidates(Sequence):
     item i is a fresh copy with `names` renamed to `substitutions[i]`.
 
     A plan is the same for every session on the project, which shares it
-    (`engine.RepairSession`); `printed` holds the printed forms of its
-    first candidates, as far as any session has read them in order.  So a
-    candidate is built to be printed at most once per project, and again
-    only to be spliced into a variant.  (random-var's shared plan starts
-    empty and collects the substitutions that sessions draw.)"""
+    (`engine.RepairSession`); `printed` holds the printed form of every
+    candidate, which the engine prints when it makes the plan.  So a
+    candidate is built to be printed once per project, and again only to
+    be spliced into a variant.  (random-var's shared plan starts empty and
+    collects the substitutions that sessions draw, each printed when
+    first drawn.)"""
 
     ingredient: Ingredient
     names: tuple[str, ...]  # the out-of-scope variables

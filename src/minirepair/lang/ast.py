@@ -191,9 +191,10 @@ class SourceProject:
     keeps its indexes up to date with `relink` after each edit.
 
     `analysis` memoizes what is computed from the unedited project (its
-    type table, ingredient pools, similarity index, name model and printed
-    sources, and what running a suite on it and its one-edit variants
-    gave), so every repair session on one project object shares it.
+    type table, ingredient pools, similarity index, name model, printed
+    sources and candidate plans, and the baseline of each suite, which
+    keeps what running that suite on the project and its variants gave),
+    so every repair session on one project object shares it.
     Nothing may edit a project once it has entries; a variant starts with
     an empty memo of its own."""
 

@@ -13,9 +13,9 @@ dropping transformations whose removal keeps fitness at zero, iterating
 until no single remaining transformation can be dropped, then prints the
 whole patched program, diffs each file against the unpatched one in path
 order, and orders patches chronologically by discovery.  The results of
-its full-suite runs are kept with the session's verdict memo,
-so a later session on the project that refines the same edit list runs
-nothing: each minimization trial keeps its fitness and steps, and each
+its full-suite runs are kept with the session's verdict memo, which hangs
+off the session's baseline (`Baseline.memos`), so a later session that
+shares the memo and refines the same edit list runs nothing: each minimization trial keeps its fitness and steps, and each
 minimized list the steps of its final run and, for a patch, the rendered
 diffs and sources.
 """
@@ -45,7 +45,8 @@ def fitness(result: ValidationResult) -> int:
 
 @dataclass
 class Baseline:
-    """Verdicts of the unpatched program, fixing the failing-first order."""
+    """Verdicts of the unpatched program, fixing the failing-first order,
+    and what the sessions that share them learn by running the suite."""
 
     matrix: SpectrumMatrix
     failing: list[TestCase]
@@ -53,6 +54,9 @@ class Baseline:
     # what the engine derives from the spectrum alone: its suspiciousness
     # ranking and modification points, by (formula, cut-off, granularity)
     points: dict = field(default_factory=dict, repr=False)
+    # the sessions' verdict memos (`engine.VerdictMemo`), by (recursion
+    # limit, stack position of the caller of `RepairSession.run`)
+    memos: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_matrix(cls, matrix: SpectrumMatrix) -> "Baseline":

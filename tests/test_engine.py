@@ -283,6 +283,10 @@ def test_budget_max_solutions_stops_at_first_patch():
     assert outcome.stats.stop_reason == "solutions"
 
 
+ONLY_INSERT_BEFORE = {"operator_selection": "weighted-random",
+                      "operator_weights": {"insert-before": 1, "replace": 0, "remove": 0}}
+
+
 @pytest.mark.parametrize("mode, overrides, reason", [
     ("jmutrepair", {"navigation": "selective"}, "solutions"),
     ("jmutrepair", {"navigation": "selective", "max_solutions": 100, "max_iterations": 5},
@@ -309,6 +313,19 @@ def test_budget_max_solutions_stops_at_first_patch():
      "exhausted"),
     ("jkali", {"navigation": "evolutionary", "max_solutions": 100, "max_iterations": 300},
      "exhausted"),
+    # no pick draws an operator weighted 0, so the space is the pairs of
+    # the operators of positive weight
+    ("jgenprog", {"navigation": "selective", "max_solutions": 100, "max_iterations": 300,
+                  **ONLY_INSERT_BEFORE}, "exhausted"),
+    ("jgenprog", {"navigation": "evolutionary", "max_solutions": 100, "max_iterations": 300,
+                  **ONLY_INSERT_BEFORE}, "exhausted"),
+    # each of the top points meets every operator of jkali's sequential
+    # operator selection, also when their count shares a factor with the
+    # operators'
+    ("jkali", {"navigation": "selective", "max_solutions": 100, "max_iterations": 300,
+               "points_per_iteration": 2}, "exhausted"),
+    ("jkali", {"navigation": "selective", "max_solutions": 100, "max_iterations": 300,
+               "points_per_iteration": 4}, "exhausted"),
 ])
 def test_every_navigation_records_each_stop_reason(mode, overrides, reason):
     project, suite, meta = load_bug("abs-sign")

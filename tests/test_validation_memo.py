@@ -1,10 +1,12 @@
 """Validation verdicts shared by the repair sessions of one project.
 
-The sessions on one project object share the baseline spectrum with the
-modification points ranked from it, the verdicts of edit lists and the
-results of refinement's full-suite runs (`SourceProject.analysis`), keyed
-by the stack position the session was started from.  Every verdict is
-stored the first time its edit list runs.  The sessions must not notice:
+The sessions on one project object share the baseline spectrum
+(`SourceProject.analysis`), keyed by the stack position the session was
+constructed from.  Each baseline keeps the modification points ranked from
+it and the verdict memos of its sessions, keyed by the stack position the
+session was run from; a memo holds the verdicts of edit lists and the
+results of refinement's full-suite runs.  Every verdict is stored the
+first time its edit list runs.  The sessions must not notice:
 each report and patch equals that of a session on a freshly loaded
 project at the same stack depth, in any order, and that of sessions that
 run every list of several edits, storing only one-edit verdicts.
@@ -32,6 +34,12 @@ DEEP_BUGS = ("ledger-scope", "log-noise")
 DEPTH = 600
 # the presets whose search validates lists of several edits
 EVOLUTIONARY = ("jgenprog", "deeprepair-lite")
+
+
+def memos(project) -> list:
+    """The verdict memos of every baseline of `project`."""
+    return [memo for baseline in project.analysis["baselines"].values()
+            for memo in baseline.memos.values()]
 
 
 def config(mode, seed, meta):
@@ -98,7 +106,7 @@ def test_shared_verdicts_give_fresh_artifacts(bug, monkeypatch):
         project, suite, meta = load_bug(bug)
         for run in order:
             assert artifacts_at(0, project, suite, run, meta) == fresh[run], (bug, run)
-        (memo,) = project.analysis["verdicts"].values()
+        (memo,) = memos(project)
         assert memo.verdicts
         # sessions that find the same fix refine it once per project
         trials, finals = count_refinement(refined)
@@ -194,10 +202,10 @@ def test_sessions_deeper_on_the_stack_keep_their_own_verdicts(bug):
         assert deep[run] == artifacts_at(DEPTH, fresh_project, fresh_suite, run, meta), run
     # the test has teeth only while deep runs differ from top-level ones
     assert any(deep[run] != top[run] for run in runs)
-    assert len(project.analysis["verdicts"]) == 2
+    assert len(memos(project)) == 2
     assert len(project.analysis["baselines"]) == 2
     # each stack position keeps its own refinement results
-    assert all(memo.finals for memo in project.analysis["verdicts"].values())
+    assert all(memo.finals for memo in memos(project))
 
 
 @pytest.mark.parametrize("mode", ("jgenprog", "jkali", "cardumen"))
@@ -272,7 +280,7 @@ def test_the_search_stores_a_list_at_first_sight(monkeypatch):
     for _ in range(3):
         materialized[0] = 0
         navigate(project, suite, config("jgenprog", 1, meta))
-        (memo,) = project.analysis["verdicts"].values()
+        (memo,) = memos(project)
         lists.append((materialized[0], sum(key >> ID_BITS > 0 for key in memo.verdicts)))
     (ran, stored), again, third = lists
     assert ran > 0 and stored == ran
@@ -332,7 +340,7 @@ def test_trial_and_final_results_never_answer_each_other(monkeypatch):
     finals = {edits for caller, edits in runs if caller == "refine_patches"}
     # the minimized list was a trial too, and its final run still ran
     assert trials & finals
-    (memo,) = project.analysis["verdicts"].values()
+    (memo,) = memos(project)
     assert set(memo.trials) & set(memo.finals)
 
 
