@@ -9,9 +9,10 @@ ingredient when the operator needs one), materializes the program variant,
 and validates it against the suite.  Variants that fail the scope/type
 check are rejected at generation time and never executed.
 
-Candidate bookkeeping guarantees no (point, operator, concrete form)
-triple is validated twice in one run, which both prunes the search and
-lets selective runs detect a fully exhausted space and stop early.
+Each (point, operator) pair keeps the set of printed forms it has tried
+(`RepairSession.tried`), so no concrete form is validated twice at one
+pair in a run, which both prunes the search and lets selective runs
+detect a fully exhausted space and stop early.
 
 Sessions on one project object share what depends on the project alone
 (`SourceProject.analysis`): among it, each entry's candidate plan at each
@@ -46,7 +47,6 @@ from minirepair.faultloc import (
 )
 from minirepair.ingredients import (
     COMPOSITE_EXPRESSION_KINDS,
-    AttemptCache,
     Candidates,
     FunctionSimilarity,
     Ingredient,
@@ -92,10 +92,13 @@ class Transformation:
     operator: RepairOperator
     plan: Optional[Candidates] = None  # the ingredient's candidates at the point, or None
     index: int = 0  # the candidate of `plan` to splice
+    # (point node id, operator name, printed ingredient or None), what
+    # `apply_edits` applies: set once, when the transformation is built
+    edit: tuple = field(init=False, compare=False)
 
-    @property
-    def concrete_printed(self) -> Optional[str]:
-        return None if self.plan is None else self.plan.printed[self.index]
+    def __post_init__(self) -> None:
+        self.edit = (self.point.node_id, self.operator.name,
+                     None if self.plan is None else self.plan.printed[self.index])
 
     @property
     def concrete(self) -> Optional[Node]:
@@ -108,7 +111,7 @@ class Transformation:
             "point": self.point.node_id,
             "file": self.point.file,
             "operator": self.operator.name,
-            "ingredient": self.concrete_printed,
+            "ingredient": self.edit[2],
         }
 
 
@@ -303,9 +306,8 @@ def stack_position(frame) -> tuple:
 
 
 def edit_list(transformations) -> tuple:
-    """The edits of a transformation list, in order: (point node id,
-    operator name, printed ingredient) each, what `apply_edits` applies."""
-    return tuple((t.point.node_id, t.operator.name, t.concrete_printed) for t in transformations)
+    """The edits of a transformation list, in order (`Transformation.edit`)."""
+    return tuple(t.edit for t in transformations)
 
 
 REJECTED = -1  # verdict memo value of a variant the type gate rejects
@@ -382,12 +384,15 @@ class RepairSession:
         self.stats = SearchStats()
         self.rng = RngStreams(config.seed)
         self.space = operator_space(config.operator_space)
-        self.cache = AttemptCache()
+        # per (point node id, operator name): the printed forms tried there,
+        # "" for an operator without an ingredient, and the printed forms
+        # of the entries sealed there
+        self.tried: dict[tuple[int, str], set[str]] = {}
         self.solutions: list[ProgramVariant] = []
         self._variant_counter = 0
         # (point, operator) pairs with nothing left to try, and the stat a
-        # pick of the pair adds to (None: not known)
-        self._exhausted_pairs: dict[tuple[int, str], Optional[str]] = {}
+        # pick of the pair adds to
+        self._exhausted_pairs: dict[tuple[int, str], str] = {}
         self._validated_signatures: dict[tuple, Optional[int]] = {}
         # per (point, operator, entry): random-var's distinct forms drawn
         self._drawn_forms: dict[tuple[int, str, str], set[str]] = {}
@@ -469,17 +474,14 @@ class RepairSession:
 
     # -- transformation creation ----------------------------------------------
 
-    def _mark_exhausted(
-        self, point: ModificationPoint, op: RepairOperator, counter: Optional[str] = None
-    ) -> None:
+    def _mark_exhausted(self, point: ModificationPoint, op: RepairOperator, counter: str) -> None:
         """Record that (point, operator) has nothing left to try, and count
         the pick that found so in the stat `counter`.  The pair stays
         exhausted for the same reason, because applicability depends only
-        on the unmodified project and the attempt cache only grows, so a
+        on the unmodified project and the pair's tried set only grows, so a
         later pick of it adds to that stat without redoing the work."""
         self._exhausted_pairs[point.node_id, op.name] = counter
-        if counter is not None:
-            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
 
     def space_exhausted(self, pick: int) -> bool:
         """Whether no (point, operator) pair that a pick of `pick` points
@@ -508,11 +510,12 @@ class RepairSession:
         index; the tree is built only when a variant is materialized.
 
         Each pick scans the entry's printed forms from the top for the
-        first one new to the attempt cache, and a used-up plan seals the
-        entry.  Every form before the one the last pick took is in the cache
-        already, and the cache only grows, so the scan takes what resuming
-        after that pick would.  random-var draws anew on every pick instead
-        (`_draw_candidate`)."""
+        first one not in the pair's tried set, adds it there, and a used-up
+        plan seals the entry by adding the entry's own printed form, which
+        `select_ingredient` then skips.  Every form before the one the last
+        pick took is in the set already, and the set only grows, so the
+        scan takes what resuming after that pick would.  random-var draws
+        anew on every pick instead (`_draw_candidate`)."""
         counter = self._exhausted_pairs.get((point.node_id, op.name))
         if counter is not None:
             setattr(self.stats, counter, getattr(self.stats, counter) + 1)
@@ -520,59 +523,62 @@ class RepairSession:
         if not op.applicable(self.project, self.project.node(point.node_id)):
             self._mark_exhausted(point, op, "not_applicable")
             return None
+        tried = self.tried.setdefault((point.node_id, op.name), set())
         if not op.needs_ingredient:
-            if not self.cache.check_and_add(point.node_id, op.name, ""):
+            if "" in tried:
                 self._mark_exhausted(point, op, "duplicates")
                 return None
+            tried.add("")
             return Transformation(point, op)
 
         ingredient = select_ingredient(
             self.ingredient_pool(),
             point,
-            op.name,
+            tried,
             self._ingredient_selection,
             self.rng.ingredients,
-            self.cache,
             similarity=self._similarity_if_needed(),
             name_model=self._name_model_if_needed(),
         )
         if ingredient is None:
             self._mark_exhausted(point, op, "exhausted_selections")
             return None
-        key = (point.node_id, op.name, ingredient.printed)
         if self._ingredient_transform == "random-var":
-            return self._draw_candidate(point, op, ingredient, key)
+            return self._draw_candidate(point, op, ingredient, tried)
         plan = self._plan(ingredient, point)
         if not plan:
-            return self._untransformable(key)
+            return self._untransformable(ingredient, tried)
         for index, printed in enumerate(plan.printed):
-            if self.cache.check_and_add(point.node_id, op.name, printed):
+            if printed not in tried:
+                tried.add(printed)
                 return Transformation(point, op, plan, index)
-        self.cache.check_and_add(*key)  # the plan is used up: seal the entry
+        tried.add(ingredient.printed)  # the plan is used up: seal the entry
         self.stats.duplicates += 1
         return None
 
-    def _untransformable(self, key: tuple[int, str, str]) -> None:
+    def _untransformable(self, ingredient: Ingredient, tried: set[str]) -> None:
         # no candidate here (or vanilla strategy with out-of-scope
         # variables): never try this entry again at this point/op
-        self.cache.check_and_add(*key)
+        tried.add(ingredient.printed)
         self.stats.not_applicable += 1
 
     def _draw_candidate(
-        self, point: ModificationPoint, op: RepairOperator, ingredient: Ingredient, key
+        self, point: ModificationPoint, op: RepairOperator, ingredient: Ingredient,
+        tried: set[str],
     ) -> Optional[Transformation]:
         """random-var's pick: one candidate drawn anew (`_draw`).  The entry
-        is used up once every distinct form was drawn."""
+        is sealed once every distinct form was drawn."""
         drawn = self._draw(ingredient, point)
         if drawn is None:
-            return self._untransformable(key)
+            return self._untransformable(ingredient, tried)
         plan, index = drawn
         printed = plan.printed[index]
-        forms = self._drawn_forms.setdefault(key, set())
+        forms = self._drawn_forms.setdefault((point.node_id, op.name, ingredient.printed), set())
         forms.add(printed)
-        new = self.cache.check_and_add(point.node_id, op.name, printed)
+        new = printed not in tried
+        tried.add(printed)
         if len(forms) >= substitution_space_size(ingredient, point.env):
-            self.cache.check_and_add(*key)
+            tried.add(ingredient.printed)
         if not new:
             self.stats.duplicates += 1
             return None
@@ -791,7 +797,9 @@ class RepairSession:
 
     def _exhaustive_candidates(self, point: ModificationPoint, op: RepairOperator):
         """Yield transformations for one (point, operator) pair in
-        deterministic order."""
+        deterministic order: every candidate of every pool entry, in pool
+        and plan order, whose printed form the pair has not tried, each
+        added to the pair's tried set as it is yielded."""
         if not op.needs_ingredient:
             t = self.create_transformation(point, op)
             if t is not None:
@@ -800,6 +808,7 @@ class RepairSession:
         if not op.applicable(self.project, self.project.node(point.node_id)):
             self._mark_exhausted(point, op, "not_applicable")
             return
+        tried = self.tried.setdefault((point.node_id, op.name), set())
         pool = self.ingredient_pool()
         for entry in list(pool.entries(point.file, point.module)):
             if self._ingredient_transform == "random-var":
@@ -809,9 +818,9 @@ class RepairSession:
                 plan = self._plan(entry, point)
                 candidates = [(plan, index) for index in range(len(plan))]
             for plan, index in candidates:
-                if self.cache.check_and_add(point.node_id, op.name, plan.printed[index]):
+                if plan.printed[index] not in tried:
+                    tried.add(plan.printed[index])
                     yield Transformation(point, op, plan, index)
-        self._mark_exhausted(point, op)
 
     def _run_exhaustive(self) -> None:
         for point in select_points(self.points, "sequential", len(self.points), self.rng.points):

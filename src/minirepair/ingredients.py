@@ -197,13 +197,11 @@ class NameFrequencyModel:
         return product
 
 
-def build_name_model(project: SourceProject, file_path: str | None = None) -> NameFrequencyModel:
+def build_name_model(project: SourceProject) -> NameFrequencyModel:
     """Occurrence counts of variable names (declarations, parameters and
-    references), project-wide or restricted to one file."""
+    references) over the whole project."""
     counts: Counter[str] = Counter()
     for sf in project.files:
-        if file_path is not None and sf.path != file_path:
-            continue
         for fn in sf.functions:
             for name, _ in fn.params:
                 counts[name] += 1
@@ -269,32 +267,6 @@ class FunctionSimilarity:
         return score
 
 
-# -- attempt cache -------------------------------------------------------------
-
-
-class AttemptCache:
-    """Set of (point, operator, printed form) triples already attempted.
-    Only the search loop reads and writes it; `check_and_add` is the one
-    way in."""
-
-    def __init__(self):
-        self._seen: set[tuple[int, str, str]] = set()
-
-    def contains(self, point_id: int, op_name: str, printed: str) -> bool:
-        return (point_id, op_name, printed) in self._seen
-
-    def check_and_add(self, point_id: int, op_name: str, printed: str) -> bool:
-        """Record the triple; returns False when it was already present."""
-        key = (point_id, op_name, printed)
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        return True
-
-    def __len__(self) -> int:
-        return len(self._seen)
-
-
 # -- selection -----------------------------------------------------------------
 
 
@@ -326,27 +298,25 @@ SELECTIONS = {
 def select_ingredient(
     pool: IngredientPool,
     point,
-    op_name: str,
+    tried: set[str],
     strategy: str,
     rng: SplitMix64,
-    cache: AttemptCache,
     similarity: FunctionSimilarity | None = None,
     name_model: NameFrequencyModel | None = None,
 ) -> Ingredient | None:
-    """Pick an untried ingredient for (point, operator), or None when the
-    pool for the point's scope key is exhausted.
+    """Pick an untried ingredient for one (point, operator) pair, or None
+    when the pool for the point's scope key is exhausted.
 
-    `point` must expose file, module, function and node_id attributes.
-    An entry counts as tried once its own printed form has been attempted
-    at this (point, operator); entries whose transformations still have
-    untried concrete instantiations remain selectable.  Every pick filters
-    the point's pool list against the attempt cache; uniform and
-    name-probability draw over the untried entries in pool order, and
-    similarity takes the best-ranked one.
+    `point` must expose file, module and function attributes, and `tried`
+    holds the printed forms the pair has tried.  An entry counts as tried
+    once its own printed form is in `tried` (the engine adds it when the
+    entry is used up there); entries whose transformations still have
+    untried concrete instantiations remain selectable.  Every pick keeps
+    the entries of the point's pool list that are not in `tried`; uniform
+    and name-probability draw over them in pool order, and similarity
+    takes the best-ranked one.
     """
-    seen = cache._seen
-    untried = [e for e in pool.entries(point.file, point.module)
-               if (point.node_id, op_name, e.printed) not in seen]
+    untried = [e for e in pool.entries(point.file, point.module) if e.printed not in tried]
     if not untried:
         return None
     return SELECTIONS[strategy](untried, point, rng, similarity, name_model)

@@ -1,0 +1,90 @@
+"""repair on corrupted input ends in an exit code, never a traceback.
+
+Each example corrupts a copy of corpus/abs-sign: `tests.json` replaced by
+another JSON value or one of its tests with a field replaced, dropped or
+added, `bug.json` replaced or given another `step_budget`, or one byte of
+the source flipped.  `cli.main` must then return 0 (patches found), 2
+(none found) or 1, and 1 only with an `error:` line on stderr.
+"""
+
+import contextlib
+import io
+import json
+import shutil
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from minirepair import cli
+
+from conftest import CORPUS
+
+BUG = CORPUS / "abs-sign"
+SUITE = json.loads((BUG / "tests.json").read_text())
+SOURCE = (BUG / "src" / "main.mini").read_bytes()
+FIELDS = ("name", "entry", "args", "expect", "expect_error")
+
+# small JSON values of every shape; numbers stay small, so that no step
+# budget makes a run slow
+scalars = (st.none() | st.booleans() | st.integers(-3, 2**70) | st.floats(-1e3, 1e3)
+           | st.sampled_from([float("nan"), float("inf"), 2**63, -2**63 - 1])
+           | st.text(max_size=6) | st.sampled_from(["sign", "one", "div-by-zero"]))
+values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def replace_suite(value):
+    return "tests.json", json.dumps(value).encode()
+
+
+def replace_field(index, field, value, drop):
+    suite = [dict(test) for test in SUITE]
+    test = suite[index % len(suite)]
+    if drop:
+        test.pop(field, None)
+    else:
+        test[field] = value
+    return "tests.json", json.dumps(suite).encode()
+
+
+def replace_bug_json(value, budget_only):
+    doc = {"step_budget": value} if budget_only else value
+    return "bug.json", json.dumps(doc).encode()
+
+
+def flip_byte(position, mask):
+    data = bytearray(SOURCE)
+    data[position % len(data)] ^= mask
+    return "src/main.mini", bytes(data)
+
+
+corruptions = st.one_of(
+    st.builds(replace_suite, values),
+    st.builds(replace_field, st.integers(0, len(SUITE) - 1), st.sampled_from(FIELDS + ("extra",)),
+              values, st.booleans()),
+    st.builds(replace_bug_json, values, st.booleans()),
+    st.builds(flip_byte, st.integers(0, len(SOURCE) - 1), st.integers(1, 255)),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(corruption=corruptions)
+def test_corrupted_project_exits_cleanly(corruption):
+    path, data = corruption
+    with tempfile.TemporaryDirectory() as tmp:
+        project = Path(tmp) / "abs-sign"
+        shutil.copytree(BUG, project)
+        (project / path).write_bytes(data)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["repair", str(project), "--mode", "jkali",
+                             "--max-iterations", "5", "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert stderr.getvalue().startswith("error:"), stderr.getvalue()

@@ -244,7 +244,7 @@ def test_exhausted_pool_gives_not_applicable():
         t = session.create_transformation(point, replace)
         if t is None:
             break
-        seen.add(t.concrete_printed)
+        seen.add(t.edit[2])
     # pool had only this file's statements; all tried, then exhausted
     assert seen
     assert session.create_transformation(point, replace) is None
@@ -462,7 +462,7 @@ def test_no_retry_invariant_single_edit_candidates():
             ran_suite = session.stats.validated > before
             if ran_suite and len(variant.transformations) == 1:
                 t = variant.transformations[0]
-                key = (t.point.node_id, t.operator.name, t.concrete_printed)
+                key = t.edit
                 assert key not in seen, f"retried {key} in {mode}/{bug}"
                 seen.add(key)
             return result

@@ -1,14 +1,15 @@
 """Ingredient and weighted picks against reference algorithms.
 
-`select_ingredient` filters the point's pool list against the attempt
-cache on every pick.  `SplitMix64.prefix_index` bisects running sums that
-a caller builds once.  Each reference below must make the same picks and
-the same draws from the generator, over random sequences of picks and
-additions to the cache:
+`select_ingredient` filters the point's pool list against the tried set
+of the (point, operator) pair on every pick.  `SplitMix64.prefix_index`
+bisects running sums that a caller builds once.  Each reference below
+must make the same picks and the same draws from the generator, over
+random sequences of picks and additions to the tried sets:
 
-- `filter_whole_pool` spells out the pick: it filters the pool through
-  `AttemptCache.contains`, then draws with `choice`, sorts by similarity,
-  or weighs the survivors with `scan_weighted_index`;
+- `filter_whole_pool` spells out the pick: it filters the pool by looking
+  each entry up under its (point, operator) pair, then draws with
+  `choice`, sorts by similarity, or weighs the survivors with
+  `scan_weighted_index`;
 - `scan_weighted_index` sums the weights and scans them on every draw.
 """
 
@@ -17,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minirepair.ingredients import (
-    AttemptCache,
     FunctionSimilarity,
     build_name_model,
     build_pool,
@@ -46,11 +46,13 @@ def scan_weighted_index(rng, weights):
     return len(weights) - 1
 
 
-def filter_whole_pool(pool, point, op_name, strategy, rng, cache, similarity=None,
+def filter_whole_pool(pool, point, op_name, strategy, rng, tried, similarity=None,
                       name_model=None):
-    """select_ingredient written out: filter, then draw, sort or weigh."""
+    """select_ingredient written out: filter, then draw, sort or weigh.
+    `tried` maps each (point node id, operator name) to its tried forms."""
     entries = pool.entries(point.file, point.module)
-    candidates = [e for e in entries if not cache.contains(point.node_id, op_name, e.printed)]
+    candidates = [e for e in entries
+                  if e.printed not in tried.get((point.node_id, op_name), ())]
     if not candidates:
         return None
     if strategy == "uniform":
@@ -182,24 +184,25 @@ actions = st.lists(
 )
 def test_untried_lists_pick_as_the_whole_pool_filter(strategy, seed, actions):
     assert len(ENTRIES) >= 10
-    cache = AttemptCache()
+    tried = {}  # (point node id, operator name) -> printed forms, as a session keeps
     new_rng, old_rng = SplitMix64(seed), SplitMix64(seed)
     kwargs = {"similarity": SIMILARITY, "name_model": NAME_MODEL}
     for what, p, op, k in actions:
         point = POINTS[p]
         if what.startswith("add"):
             form = ENTRIES[k].printed if what == "add-entry" else f"other {k};"
-            cache.check_and_add(point.node_id, op, form)
+            tried.setdefault((point.node_id, op), set()).add(form)
             continue
-        new = select_ingredient(POOL, point, op, strategy, new_rng, cache, **kwargs)
-        old = filter_whole_pool(POOL, point, op, strategy, old_rng, cache, **kwargs)
+        pair = tried.setdefault((point.node_id, op), set())
+        new = select_ingredient(POOL, point, pair, strategy, new_rng, **kwargs)
+        old = filter_whole_pool(POOL, point, op, strategy, old_rng, tried, **kwargs)
         assert new is old
         if new is not None and what != "pick":
             form = new.printed if what == "pick-add" else new.printed + " "
-            cache.check_and_add(point.node_id, op, form)
+            pair.add(form)
     assert new_rng.next_u64() == old_rng.next_u64()
     for point in POINTS:  # every pair used up: both agree there is nothing left
         for op in OPS:
-            for entry in ENTRIES:
-                cache.check_and_add(point.node_id, op, entry.printed)
-            assert select_ingredient(POOL, point, op, strategy, new_rng, cache, **kwargs) is None
+            pair = tried.setdefault((point.node_id, op), set())
+            pair.update(entry.printed for entry in ENTRIES)
+            assert select_ingredient(POOL, point, pair, strategy, new_rng, **kwargs) is None

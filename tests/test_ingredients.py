@@ -4,8 +4,8 @@ from collections import Counter
 
 import pytest
 
+from minirepair.engine import RepairSession
 from minirepair.ingredients import (
-    AttemptCache,
     FunctionSimilarity,
     build_name_model,
     build_pool,
@@ -21,6 +21,7 @@ from minirepair.lang import parse_project, pre_order
 from minirepair.lang.ast import INT, STRING
 from minirepair.lang.printer import print_tree
 from minirepair.lang.types import cached_types
+from minirepair.presets import config_from_preset
 from minirepair.rng import SplitMix64
 
 from conftest import load_bug
@@ -139,13 +140,13 @@ def test_single_entry_then_exhausted():
     # restrict to one entry for clarity
     entries = pool.entries("main.mini", ".")
     pool.entries_by_key["main.mini"] = entries[:1]
-    cache = AttemptCache()
+    tried = set()  # of one (point, operator) pair
     rng = SplitMix64(1)
     point = PointStub()
-    first = select_ingredient(pool, point, "replace", "uniform", rng, cache)
+    first = select_ingredient(pool, point, tried, "uniform", rng)
     assert first is not None
-    cache.check_and_add(point.node_id, "replace", first.printed)
-    assert select_ingredient(pool, point, "replace", "uniform", rng, cache) is None
+    tried.add(first.printed)
+    assert select_ingredient(pool, point, tried, "uniform", rng) is None
 
 
 def test_uniform_selection_is_uniform():
@@ -165,8 +166,7 @@ def test_uniform_selection_is_uniform():
     counts = Counter()
     point = PointStub()
     for _ in range(10_000):
-        cache = AttemptCache()  # fresh: all four untried each draw
-        chosen = select_ingredient(pool, point, "replace", "uniform", rng, cache)
+        chosen = select_ingredient(pool, point, set(), "uniform", rng)  # all four untried
         counts[chosen.printed] += 1
     # chi-square against uniform; critical value for df=3 at p=0.01 is 11.34
     expected = 10_000 / 4
@@ -195,10 +195,8 @@ fn other(s: string) -> string {
     sim = FunctionSimilarity(project)
     assert sim.similarity("buggy", "twin") == pytest.approx(1.0)
     assert sim.similarity("buggy", "other") < 1.0
-    cache = AttemptCache()
     point = PointStub(function="buggy")
-    chosen = select_ingredient(pool, point, "replace", "similarity",
-                               SplitMix64(1), cache, similarity=sim)
+    chosen = select_ingredient(pool, point, set(), "similarity", SplitMix64(1), similarity=sim)
     assert chosen.origin_function in ("buggy", "twin")
 
 
@@ -217,12 +215,12 @@ def test_name_probability_selection_weights():
     counts = Counter()
     rng = SplitMix64(5)
     point = PointStub()
-    # draw repeatedly with a fresh cache; the heavier-named entries dominate
+    # draw repeatedly with nothing tried; the heavier-named entries dominate
     entries = [e for e in pool.entries("main.mini", ".") if "+" in e.printed]
     pool.entries_by_key["main.mini"] = entries
     for _ in range(4000):
-        chosen = select_ingredient(pool, point, "replace", "name-probability",
-                                   rng, AttemptCache(), name_model=model)
+        chosen = select_ingredient(pool, point, set(), "name-probability", rng,
+                                   name_model=model)
         counts["common" if "common" in chosen.printed else "rare"] += 1
     assert counts["common"] > counts["rare"] * 2
 
@@ -373,13 +371,22 @@ def test_template_instantiation_frequency_ranking():
     ]
 
 
-def test_attempt_cache_atomic_check_and_add():
-    cache = AttemptCache()
-    assert cache.check_and_add(1, "replace", "x = 1;")
-    assert not cache.check_and_add(1, "replace", "x = 1;")
-    assert cache.contains(1, "replace", "x = 1;")
-    assert not cache.contains(2, "replace", "x = 1;")
-    assert len(cache) == 1
+def test_a_pair_records_each_attempt_once():
+    """Each (point, operator) pair has its own tried set: an operator
+    without an ingredient is tried once there, as "", and a second pick of
+    the pair is a duplicate; the same operator at another point is apart."""
+    project, suite, _ = load_bug("abs-sign")
+    session = RepairSession(project, suite, config_from_preset("jkali", seed=1))
+    first, second = (p for p in session.points
+                     if project.node(p.node_id).kind == "if")
+    op = session.space.by_name("if-true")
+    t = session.create_transformation(first, op)
+    assert t.edit == (first.node_id, "if-true", None)
+    assert session.tried == {(first.node_id, "if-true"): {""}}
+    assert session.create_transformation(first, op) is None
+    assert session.stats.duplicates == 1
+    assert session.create_transformation(second, op).edit == (second.node_id, "if-true", None)
+    assert session.tried == {(first.node_id, "if-true"): {""}, (second.node_id, "if-true"): {""}}
 
 
 def test_cosine_and_token_helpers():

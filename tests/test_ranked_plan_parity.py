@@ -10,7 +10,7 @@ same search, byte for byte:
 - `rebuild_every_pick`, for name-probability (cardumen) and
   name-similarity (deeprepair-lite): on every pick it rebuilds the entry's
   whole ranked candidate list with `transform_ingredient` and scans it
-  from the top for a form the attempt cache has not seen;
+  from the top for a form the (point, operator) pair has not tried;
 - `draw_every_pick`, for none (jgenprog) and random-var (tibra): the eager
   list of at most one tree of the old `transform_ingredient`, with
   random-var's entry sealed once its distinct drawn forms fill the
@@ -39,34 +39,45 @@ FIXED_PRESETS = ("jgenprog", "tibra")
 SEEDS = (1, 2, 3)
 
 
+def claim(self, point, op, printed):
+    """Add `printed` to the tried set of (point, operator); False when it
+    was there already."""
+    tried = self.tried.setdefault((point.node_id, op.name), set())
+    if printed in tried:
+        return False
+    tried.add(printed)
+    return True
+
+
+def attempts(session):
+    """Every (point, operator, printed form) the session tried or sealed."""
+    return {(*pair, form) for pair, forms in session.tried.items() for form in forms}
+
+
 def select_entry(self, point, op):
     """The steps of create_transformation before the ingredient is
     transformed: (None, outcome) when they decide the pick, else
     (ingredient, None)."""
     node = self.project.node(point.node_id)
     if not op.applicable(self.project, node):
-        self._mark_exhausted(point, op)
-        self.stats.not_applicable += 1
+        self._mark_exhausted(point, op, "not_applicable")
         return None, None
     if not op.needs_ingredient:
-        if not self.cache.check_and_add(point.node_id, op.name, ""):
-            self.stats.duplicates += 1
-            self._mark_exhausted(point, op)
+        if not claim(self, point, op, ""):
+            self._mark_exhausted(point, op, "duplicates")
             return None, None
         return None, Transformation(point, op, None)
     ingredient = engine.select_ingredient(
         self.ingredient_pool(),
         point,
-        op.name,
+        self.tried.setdefault((point.node_id, op.name), set()),
         self._ingredient_selection,
         self.rng.ingredients,
-        self.cache,
         similarity=self._similarity_if_needed(),
         name_model=self._name_model_if_needed(),
     )
     if ingredient is None:
-        self._mark_exhausted(point, op)
-        self.stats.exhausted_selections += 1
+        self._mark_exhausted(point, op, "exhausted_selections")
     return ingredient, None
 
 
@@ -86,14 +97,14 @@ def rebuild_every_pick(self, point, op):
         else None,
     )
     if not candidates:
-        self.cache.check_and_add(point.node_id, op.name, ingredient.printed)
+        claim(self, point, op, ingredient.printed)
         self.stats.not_applicable += 1
         return None
     for cand in candidates:
         printed = print_tree(cand)
-        if self.cache.check_and_add(point.node_id, op.name, printed):
+        if claim(self, point, op, printed):
             return Transformation(point, op, one_tree_plan(cand))
-    self.cache.check_and_add(point.node_id, op.name, ingredient.printed)
+    claim(self, point, op, ingredient.printed)
     self.stats.duplicates += 1
     return None
 
@@ -126,7 +137,7 @@ def draw_every_pick(self, point, op):
     candidates = eager_transform(ingredient, point.env, self._ingredient_transform,
                                  self.rng.transform)
     if not candidates:
-        self.cache.check_and_add(*key)
+        claim(self, point, op, ingredient.printed)
         self.stats.not_applicable += 1
         return None
     random_var = self._ingredient_transform == "random-var"
@@ -136,16 +147,16 @@ def draw_every_pick(self, point, op):
         printed = print_tree(cand)
         if random_var:
             forms.add(printed)
-        if self.cache.check_and_add(point.node_id, op.name, printed):
+        if claim(self, point, op, printed):
             chosen = Transformation(point, op, one_tree_plan(cand))
             break
     if random_var:
         space = substitution_space_size(ingredient, point.env)
         if space and len(forms) >= space:
-            self.cache.check_and_add(*key)
+            claim(self, point, op, ingredient.printed)
     if chosen is None:
         if not random_var:
-            self.cache.check_and_add(*key)
+            claim(self, point, op, ingredient.printed)
         self.stats.duplicates += 1
     return chosen
 
@@ -167,7 +178,7 @@ def observed(outcome):
         outcome.report_dict(),
         [p.diff_text.encode() for p in outcome.patches],
         dataclasses.asdict(outcome.stats),
-        outcome.session.cache._seen,
+        attempts(outcome.session),
     )
 
 
@@ -225,15 +236,15 @@ def _pick_until_used_up(monkeypatch, mode, create, claim_after_first=(), session
     """Pick one fixed entry at one (point, operator) until the session
     reports it used up, in each of `sessions` sessions on one project.
     After each session's first pick, the ranks in `claim_after_first` are
-    put in its cache, as another entry producing the same form would.
+    put in the pair's tried set, as another entry producing the same form
+    would.
     Returns the forms each session picked, the number of trees printed in
     all sessions, the last session and the entry."""
     project, suite, meta = load_bug("mid-formula")
     entry = None
 
-    def select_fixed(pool, pt, op_name, *args, **kwargs):
-        cache = args[2]
-        return None if cache.contains(pt.node_id, op_name, entry.printed) else entry
+    def select_fixed(pool, pt, tried, *args, **kwargs):
+        return None if entry.printed in tried else entry
 
     printed_trees = []
 
@@ -250,10 +261,10 @@ def _pick_until_used_up(monkeypatch, mode, create, claim_after_first=(), session
         picked = []
         for _ in range(len(forms) + 2):
             t = create(session, point, op)
-            picked.append(None if t is None else t.concrete_printed)
+            picked.append(None if t is None else t.edit[2])
             if len(picked) == 1:
                 for rank in claim_after_first:
-                    assert session.cache.check_and_add(point.node_id, op.name, forms[rank])
+                    assert claim(session, point, op, forms[rank])
         monkeypatch.undo()
         runs.append(picked)
     return runs, len(printed_trees), session, point, op, entry, forms
@@ -285,7 +296,7 @@ def test_used_up_plan_seals_the_entry_and_counts_a_duplicate(monkeypatch, mode):
     # sealed and one duplicate counted; the next pick finds no entry
     assert session.stats.duplicates == 1
     assert session.stats.exhausted_selections == 1
-    assert session.cache.contains(point.node_id, op.name, entry.printed)
+    assert entry.printed in session.tried[point.node_id, op.name]
     oracle = _pick_until_used_up(monkeypatch, mode, rebuild_every_pick)
     assert oracle[0] == runs
     assert dataclasses.asdict(oracle[2].stats) == dataclasses.asdict(session.stats)

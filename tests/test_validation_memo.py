@@ -296,7 +296,7 @@ def test_one_key_names_one_concrete_tree(corpus_names, monkeypatch):
         nonlocal repeats
         if len(variant.transformations) == 1:
             t = variant.transformations[0]
-            key = (bug, t.point.node_id, t.operator.name, t.concrete_printed)
+            key = (bug, *t.edit)
             if key in seen:
                 first = seen[key]
                 assert (first is None) == (t.concrete is None), key
