@@ -122,7 +122,6 @@ class ProgramVariant:
     generation_born: int
     fitness: Optional[int] = None
     dirty: bool = True
-    discovery_order: Optional[int] = None
     discovery_iteration: Optional[int] = None
 
 
@@ -435,6 +434,15 @@ class RepairSession:
         self._ingredient_transform = config.ingredient_transform or (
             "name-probability" if config.operator_space == "r-expression" else "none"
         )
+        # what the ingredient selection strategy reads, resolved once
+        selection = self._ingredient_selection
+        self._similarity = self.similarity_index() if selection == "similarity" else None
+        self._names = self.name_model() if selection == "name-probability" else None
+        # the operators a pick can draw: weighted-random never draws weight 0
+        self._drawable_ops = sum(
+            config.operator_selection != "weighted-random" or config.operator_weights[op.name] > 0
+            for op in self.space.operators
+        )
 
     # -- lazy ingredient machinery ------------------------------------------
 
@@ -474,14 +482,33 @@ class RepairSession:
 
     # -- transformation creation ----------------------------------------------
 
-    def _mark_exhausted(self, point: ModificationPoint, op: RepairOperator, counter: str) -> None:
-        """Record that (point, operator) has nothing left to try, and count
-        the pick that found so in the stat `counter`.  The pair stays
-        exhausted for the same reason, because applicability depends only
-        on the unmodified project and the pair's tried set only grows, so a
-        later pick of it adds to that stat without redoing the work."""
-        self._exhausted_pairs[point.node_id, op.name] = counter
-        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+    def _tried_at(self, point: ModificationPoint, op: RepairOperator) -> Optional[set[str]]:
+        """The tried set of (point, operator), made on the pair's first
+        pick, or None, with the pick counted (`_fruitless`), when the pair
+        has nothing left to try.  Only here does the session read
+        `_exhausted_pairs`, ask `op.applicable` and make a tried set; it
+        asks on the first pick only, as applicability depends on the
+        unmodified project alone."""
+        pair = (point.node_id, op.name)
+        stat = self._exhausted_pairs.get(pair)
+        if stat is not None:
+            return self._fruitless(point, op, stat)
+        tried = self.tried.get(pair)
+        if tried is None:
+            if not op.applicable(self.project, self.project.node(point.node_id)):
+                return self._fruitless(point, op, "not_applicable")
+            tried = self.tried[pair] = set()
+        return tried
+
+    def _fruitless(self, point: ModificationPoint, op: RepairOperator, stat: str,
+                   exhausted: bool = True) -> None:
+        """Count a pick of (point, operator) that yields no transformation
+        in `stat`: not_applicable, duplicates or exhausted_selections.  With
+        `exhausted`, the pair has nothing left to try, and stays so as its
+        tried set only grows, so its later picks count the same stat at once."""
+        setattr(self.stats, stat, getattr(self.stats, stat) + 1)
+        if exhausted:
+            self._exhausted_pairs[point.node_id, op.name] = stat
 
     def space_exhausted(self, pick: int) -> bool:
         """Whether no (point, operator) pair that a pick of `pick` points
@@ -492,16 +519,13 @@ class RepairSession:
         reachable = len(self.points)
         if self.config.point_selection == "sequential":
             reachable = min(pick, reachable)
-        ops = self.space.operators
-        if self.config.operator_selection == "weighted-random":
-            ops = [op for op in ops if self.config.operator_weights[op.name] > 0]
-        return len(self._exhausted_pairs) >= reachable * len(ops)
+        return len(self._exhausted_pairs) >= reachable * self._drawable_ops
 
     def create_transformation(
         self, point: ModificationPoint, op: RepairOperator
     ) -> Optional[Transformation]:
         """The next untried transformation for (point, operator), or None
-        (counted as not applicable, exhausted or duplicate).
+        (counted as not applicable, exhausted or duplicate: `_fruitless`).
 
         An operator that needs an ingredient takes an entry from the pool
         and reads the entry's candidates at the point from its plan
@@ -512,65 +536,48 @@ class RepairSession:
         Each pick scans the entry's printed forms from the top for the
         first one not in the pair's tried set, adds it there, and a used-up
         plan seals the entry by adding the entry's own printed form, which
-        `select_ingredient` then skips.  Every form before the one the last
-        pick took is in the set already, and the set only grows, so the
-        scan takes what resuming after that pick would.  random-var draws
-        anew on every pick instead (`_draw_candidate`)."""
-        counter = self._exhausted_pairs.get((point.node_id, op.name))
-        if counter is not None:
-            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+        `select_ingredient` then skips; so does a plan with no candidate
+        (or the vanilla strategy's with out-of-scope variables).  Every
+        form before the one the last pick took is in the set already, and
+        the set only grows, so the scan takes what resuming after that pick
+        would.  random-var draws anew on every pick instead
+        (`_draw_candidate`)."""
+        tried = self._tried_at(point, op)
+        if tried is None:
             return None
-        if not op.applicable(self.project, self.project.node(point.node_id)):
-            self._mark_exhausted(point, op, "not_applicable")
-            return None
-        tried = self.tried.setdefault((point.node_id, op.name), set())
         if not op.needs_ingredient:
             if "" in tried:
-                self._mark_exhausted(point, op, "duplicates")
-                return None
+                return self._fruitless(point, op, "duplicates")
             tried.add("")
             return Transformation(point, op)
 
-        ingredient = select_ingredient(
-            self.ingredient_pool(),
-            point,
-            tried,
-            self._ingredient_selection,
-            self.rng.ingredients,
-            similarity=self._similarity_if_needed(),
-            name_model=self._name_model_if_needed(),
-        )
+        ingredient = select_ingredient(self.ingredient_pool(), point, tried,
+                                       self._ingredient_selection, self.rng.ingredients,
+                                       similarity=self._similarity, name_model=self._names)
         if ingredient is None:
-            self._mark_exhausted(point, op, "exhausted_selections")
-            return None
+            return self._fruitless(point, op, "exhausted_selections")
         if self._ingredient_transform == "random-var":
             return self._draw_candidate(point, op, ingredient, tried)
         plan = self._plan(ingredient, point)
-        if not plan:
-            return self._untransformable(ingredient, tried)
         for index, printed in enumerate(plan.printed):
             if printed not in tried:
                 tried.add(printed)
                 return Transformation(point, op, plan, index)
-        tried.add(ingredient.printed)  # the plan is used up: seal the entry
-        self.stats.duplicates += 1
-        return None
-
-    def _untransformable(self, ingredient: Ingredient, tried: set[str]) -> None:
-        # no candidate here (or vanilla strategy with out-of-scope
-        # variables): never try this entry again at this point/op
-        tried.add(ingredient.printed)
-        self.stats.not_applicable += 1
+        tried.add(ingredient.printed)  # no candidate left here: seal the entry
+        return self._fruitless(point, op, "duplicates" if plan else "not_applicable",
+                               exhausted=False)
 
     def _draw_candidate(
         self, point: ModificationPoint, op: RepairOperator, ingredient: Ingredient,
         tried: set[str],
     ) -> Optional[Transformation]:
         """random-var's pick: one candidate drawn anew (`_draw`).  The entry
-        is sealed once every distinct form was drawn."""
+        is sealed once every distinct form was drawn, or at once when no
+        form can be drawn."""
         drawn = self._draw(ingredient, point)
         if drawn is None:
-            return self._untransformable(ingredient, tried)
+            tried.add(ingredient.printed)
+            return self._fruitless(point, op, "not_applicable", exhausted=False)
         plan, index = drawn
         printed = plan.printed[index]
         forms = self._drawn_forms.setdefault((point.node_id, op.name, ingredient.printed), set())
@@ -580,8 +587,7 @@ class RepairSession:
         if len(forms) >= substitution_space_size(ingredient, point.env):
             tried.add(ingredient.printed)
         if not new:
-            self.stats.duplicates += 1
-            return None
+            return self._fruitless(point, op, "duplicates", exhausted=False)
         return Transformation(point, op, plan, index)
 
     def _draw(
@@ -629,16 +635,6 @@ class RepairSession:
                     plan.printed.extend(print_tree(plan[i]) for i in range(len(plan)))
             plans[key] = plan
         return plan
-
-    def _similarity_if_needed(self):
-        if self._ingredient_selection == "similarity":
-            return self.similarity_index()
-        return None
-
-    def _name_model_if_needed(self):
-        if self._ingredient_selection == "name-probability":
-            return self.name_model()
-        return None
 
     # -- variants ----------------------------------------------------------------
 
@@ -710,7 +706,6 @@ class RepairSession:
             self.stats.op_bucket(t.operator.name)["validated"] += 1
         self._validated_signatures[signature] = variant.fitness
         if variant.fitness == 0:
-            variant.discovery_order = len(self.solutions)
             variant.discovery_iteration = iteration
             self.solutions.append(variant)
             self.stats.solutions += 1
@@ -805,10 +800,9 @@ class RepairSession:
             if t is not None:
                 yield t
             return
-        if not op.applicable(self.project, self.project.node(point.node_id)):
-            self._mark_exhausted(point, op, "not_applicable")
+        tried = self._tried_at(point, op)
+        if tried is None:
             return
-        tried = self.tried.setdefault((point.node_id, op.name), set())
         pool = self.ingredient_pool()
         for entry in list(pool.entries(point.file, point.module)):
             if self._ingredient_transform == "random-var":

@@ -44,8 +44,6 @@ class Ingredient:
     subtree: Node  # attached to the original project; clone before splicing
     granularity: str  # statement | expression | template
     node_id: int
-    origin_file: str
-    origin_module: str
     origin_function: str
     free_vars: frozenset[tuple[str, Type]]
 
@@ -117,8 +115,7 @@ def _pool(
         if (key, printed) not in seen:
             seen.add((key, printed))
             pool.entries_by_key.setdefault(key, []).append(Ingredient(
-                printed, subtree, granularity, node.node_id, sf.path, sf.module, fn.name,
-                free_vars,
+                printed, subtree, granularity, node.node_id, fn.name, free_vars,
             ))
     return pool
 

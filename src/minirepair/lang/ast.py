@@ -113,7 +113,6 @@ class Node:
     ret: Optional[Type] = None
     node_id: int = -1
     line: int = 0
-    col: int = 0
 
     def is_statement(self) -> bool:
         return self.kind in STATEMENT_KINDS
@@ -143,7 +142,6 @@ class Node:
         dup.ret = self.ret
         dup.node_id = -1
         dup.line = self.line
-        dup.col = self.col
         return dup
 
 

@@ -20,14 +20,12 @@ class Token:
     kind: str  # ident | keyword | int | float | string | op | eof
     text: str
     line: int
-    col: int
 
 
 def tokenize(path: str, source: str) -> list[Token]:
     tokens: list[Token] = []
     i = 0
     line = 1
-    col = 1
     n = len(source)
 
     def error(msg: str):
@@ -38,17 +36,14 @@ def tokenize(path: str, source: str) -> list[Token]:
         if ch == "\n":
             i += 1
             line += 1
-            col = 1
             continue
         if ch in " \t\r":
             i += 1
-            col += 1
             continue
         if ch == "/" and i + 1 < n and source[i + 1] == "/":
             while i < n and source[i] != "\n":
                 i += 1
             continue
-        start_line, start_col = line, col
         if ch.isdigit():
             j = i
             while j < n and source[j].isdigit():
@@ -69,8 +64,7 @@ def tokenize(path: str, source: str) -> list[Token]:
                     while j < n and source[j].isdigit():
                         j += 1
             text = source[i:j]
-            tokens.append(Token("float" if is_float else "int", text, start_line, start_col))
-            col += j - i
+            tokens.append(Token("float" if is_float else "int", text, line))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -79,8 +73,7 @@ def tokenize(path: str, source: str) -> list[Token]:
                 j += 1
             text = source[i:j]
             kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, start_line, start_col))
-            col += j - i
+            tokens.append(Token(kind, text, line))
             i = j
             continue
         if ch == '"':
@@ -105,22 +98,19 @@ def tokenize(path: str, source: str) -> list[Token]:
                     continue
                 chars.append(c)
                 j += 1
-            tokens.append(Token("string", "".join(chars), start_line, start_col))
-            col += j - i
+            tokens.append(Token("string", "".join(chars), line))
             i = j
             continue
         two = source[i : i + 2]
         if two in _TWO_CHAR:
-            tokens.append(Token("op", two, start_line, start_col))
+            tokens.append(Token("op", two, line))
             i += 2
-            col += 2
             continue
         if ch in _ONE_CHAR:
-            tokens.append(Token("op", ch, start_line, start_col))
+            tokens.append(Token("op", ch, line))
             i += 1
-            col += 1
             continue
         error(f"unexpected character {ch!r}")
 
-    tokens.append(Token("eof", "", line, col))
+    tokens.append(Token("eof", "", line))
     return tokens

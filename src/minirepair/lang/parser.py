@@ -110,10 +110,7 @@ class _Parser:
         if self.accept("op", "->"):
             ret = self.parse_type()
         body = self.parse_block()
-        function = Node(
-            "function", [body], name=name, params=params, ret=ret,
-            line=start.line, col=start.col,
-        )
+        function = Node("function", [body], name=name, params=params, ret=ret, line=start.line)
         self.check_height(function)
         return function
 
@@ -139,7 +136,7 @@ class _Parser:
             statements.append(self.parse_statement())
         self.expect("op", "}")
         self.depth -= 1
-        return Node("block", statements, line=start.line, col=start.col)
+        return Node("block", statements, line=start.line)
 
     def parse_statement(self) -> Node:
         tok = self.peek()
@@ -165,8 +162,7 @@ class _Parser:
         self.expect("op", "=")
         init = self.parse_expr()
         self.expect("op", ";")
-        return Node("var-decl", [init], name=name, type_ann=ann,
-                    line=start.line, col=start.col)
+        return Node("var-decl", [init], name=name, type_ann=ann, line=start.line)
 
     def parse_if(self) -> Node:
         start = self.expect("keyword", "if")
@@ -182,7 +178,7 @@ class _Parser:
                 self.depth -= 1
             else:
                 children.append(self.parse_block())
-        return Node("if", children, line=start.line, col=start.col)
+        return Node("if", children, line=start.line)
 
     def parse_while(self) -> Node:
         start = self.expect("keyword", "while")
@@ -190,7 +186,7 @@ class _Parser:
         cond = self.parse_expr()
         self.expect("op", ")")
         body = self.parse_block()
-        return Node("while", [cond, body], line=start.line, col=start.col)
+        return Node("while", [cond, body], line=start.line)
 
     def parse_return(self) -> Node:
         start = self.expect("keyword", "return")
@@ -198,7 +194,7 @@ class _Parser:
         if not self.check("op", ";"):
             children.append(self.parse_expr())
         self.expect("op", ";")
-        return Node("return", children, line=start.line, col=start.col)
+        return Node("return", children, line=start.line)
 
     def parse_assign_or_expr(self) -> Node:
         start = self.peek()
@@ -208,9 +204,9 @@ class _Parser:
                 self.error(start, "invalid assignment target")
             value = self.parse_expr()
             self.expect("op", ";")
-            return Node("assign", [expr, value], line=start.line, col=start.col)
+            return Node("assign", [expr, value], line=start.line)
         self.expect("op", ";")
-        return Node("expr-stmt", [expr], line=start.line, col=start.col)
+        return Node("expr-stmt", [expr], line=start.line)
 
     def _valid_lvalue(self, node: Node) -> bool:
         while node.kind == "index":
@@ -230,8 +226,7 @@ class _Parser:
         while self.peek().kind == "op" and self.peek().text in ops:
             tok = self.advance()
             right = sub()
-            left = Node("binary-op", [left, right], op=tok.text,
-                        line=tok.line, col=tok.col)
+            left = Node("binary-op", [left, right], op=tok.text, line=tok.line)
         return left
 
     def parse_or(self) -> Node:
@@ -256,7 +251,7 @@ class _Parser:
             self.enter(tok)
             operand = self.parse_unary()
             self.depth -= 1
-            return Node("unary-op", [operand], op=tok.text, line=tok.line, col=tok.col)
+            return Node("unary-op", [operand], op=tok.text, line=tok.line)
         return self.parse_postfix()
 
     def parse_postfix(self) -> Node:
@@ -265,7 +260,7 @@ class _Parser:
             tok = self.advance()
             sub = self.parse_expr()
             self.expect("op", "]")
-            node = Node("index", [node, sub], line=tok.line, col=tok.col)
+            node = Node("index", [node, sub], line=tok.line)
         return node
 
     def parse_primary(self) -> Node:
@@ -278,20 +273,20 @@ class _Parser:
             # refuses strings of over 4,300 digits
             if len(digits) > len(str(INT64_MAX)) or int(digits) > INT64_MAX:
                 self.error(tok, f"int literal {tok.text} is out of the 64-bit range")
-            return Node("literal", value=int(digits), line=tok.line, col=tok.col)
+            return Node("literal", value=int(digits), line=tok.line)
         if tok.kind == "float":
             self.advance()
             value = float(tok.text)
             # an infinity would print as `inf`, which reparses as a variable
             if not math.isfinite(value):
                 self.error(tok, f"float literal {tok.text} is out of the float range")
-            return Node("literal", value=value, line=tok.line, col=tok.col)
+            return Node("literal", value=value, line=tok.line)
         if tok.kind == "string":
             self.advance()
-            return Node("literal", value=tok.text, line=tok.line, col=tok.col)
+            return Node("literal", value=tok.text, line=tok.line)
         if tok.kind == "keyword" and tok.text in ("true", "false"):
             self.advance()
-            return Node("literal", value=(tok.text == "true"), line=tok.line, col=tok.col)
+            return Node("literal", value=(tok.text == "true"), line=tok.line)
         if tok.kind == "op" and tok.text == "[":
             self.advance()
             elems = []
@@ -301,7 +296,7 @@ class _Parser:
                     if not self.accept("op", ","):
                         break
             self.expect("op", "]")
-            return Node("literal", elems, op="array", line=tok.line, col=tok.col)
+            return Node("literal", elems, op="array", line=tok.line)
         if tok.kind == "ident":
             self.advance()
             if self.check("op", "("):
@@ -313,8 +308,8 @@ class _Parser:
                         if not self.accept("op", ","):
                             break
                 self.expect("op", ")")
-                return Node("call", args, name=tok.text, line=tok.line, col=tok.col)
-            return Node("var-ref", name=tok.text, line=tok.line, col=tok.col)
+                return Node("call", args, name=tok.text, line=tok.line)
+            return Node("var-ref", name=tok.text, line=tok.line)
         if tok.kind == "op" and tok.text == "(":
             self.advance()
             inner = self.parse_expr()

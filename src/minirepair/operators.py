@@ -136,8 +136,9 @@ class RemoveStatement(RepairOperator):
         return node.kind != "var-decl" or not _decl_used_later(block, node)
 
     def mutate(self, project, target, ingredient):
-        block = _parent_block(project, target)
-        block.children.remove(target)
+        siblings = _parent_block(project, target).children
+        # by identity: Node is a dataclass, so list.remove would compare by value
+        del siblings[next(i for i, stmt in enumerate(siblings) if stmt is target)]
 
 
 class InsertBefore(RepairOperator):

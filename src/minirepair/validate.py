@@ -144,9 +144,9 @@ def minimize_transformations(solution_transformations, revalidate) -> list:
 
 def refine_patches(session) -> list[Patch]:
     """Minimize, re-validate, and render every solution of a repair session
-    in chronological discovery order.  `session` provides the solutions, the
-    materialize/validate plumbing and the verdict memo with its keys (see
-    engine.RepairSession).
+    in chronological discovery order, the order of `session.solutions`.
+    `session` provides the solutions, the materialize/validate plumbing
+    and the verdict memo with its keys (see engine.RepairSession).
 
     Each full-suite run is looked up in the memo first, trials and finals
     apart; a hit adds the stored steps to the session's `time_steps`, as
@@ -154,7 +154,7 @@ def refine_patches(session) -> list[Patch]:
     memo = session.verdicts
     budget = session.config.step_budget
     patches = []
-    for variant in sorted(session.solutions, key=lambda v: v.discovery_order):
+    for variant in session.solutions:
 
         def revalidate(transformations) -> int:
             key = session.memo_key(transformations)

@@ -39,5 +39,4 @@ def corpus_names():
 def one_tree_plan(tree):
     """The plan of one candidate, `tree` itself: a Transformation of plan
     and index 0 splices a copy of it."""
-    return Ingredient(print_tree(tree), tree, "statement", tree.node_id, "", "", "",
-                      frozenset()).as_is
+    return Ingredient(print_tree(tree), tree, "statement", tree.node_id, "", frozenset()).as_is

@@ -60,11 +60,11 @@ def select_entry(self, point, op):
     (ingredient, None)."""
     node = self.project.node(point.node_id)
     if not op.applicable(self.project, node):
-        self._mark_exhausted(point, op, "not_applicable")
+        self._fruitless(point, op, "not_applicable")
         return None, None
     if not op.needs_ingredient:
         if not claim(self, point, op, ""):
-            self._mark_exhausted(point, op, "duplicates")
+            self._fruitless(point, op, "duplicates")
             return None, None
         return None, Transformation(point, op, None)
     ingredient = engine.select_ingredient(
@@ -73,11 +73,11 @@ def select_entry(self, point, op):
         self.tried.setdefault((point.node_id, op.name), set()),
         self._ingredient_selection,
         self.rng.ingredients,
-        similarity=self._similarity_if_needed(),
-        name_model=self._name_model_if_needed(),
+        similarity=self._similarity,
+        name_model=self._names,
     )
     if ingredient is None:
-        self._mark_exhausted(point, op, "exhausted_selections")
+        self._fruitless(point, op, "exhausted_selections")
     return ingredient, None
 
 
