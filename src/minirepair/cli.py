@@ -249,9 +249,12 @@ def cmd_bench(args) -> int:
     if not corpus.is_dir():
         print(f"error: {corpus} is not a directory", file=sys.stderr)
         return 1
-    bugs = args.bugs.split(",") if args.bugs else discover_bugs(corpus)
+    bugs = discover_bugs(corpus) if args.bugs is None else args.bugs.split(",")
     modes = args.modes.split(",")
     for option, items in (("--modes", modes), ("--bugs", bugs)):
+        if "" in items:
+            print(f"error: {option} has an empty item", file=sys.stderr)
+            return 1
         repeated = next((item for i, item in enumerate(items) if item in items[:i]), None)
         if repeated is not None:
             print(f"error: {option} repeats {repeated!r}", file=sys.stderr)

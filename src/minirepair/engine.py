@@ -32,6 +32,7 @@ A session's outcome is that of a fresh project, whichever ran before it.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -55,7 +56,6 @@ from minirepair.ingredients import (
     build_pool,
     mine_templates,
     select_ingredient,
-    substitution_space_size,
     transform_ingredient,
 )
 from minirepair.lang.ast import LOGICAL_OPS, RELATIONAL_OPS, Node, SourceProject, Type, pre_order
@@ -540,8 +540,8 @@ class RepairSession:
         (or the vanilla strategy's with out-of-scope variables).  Every
         form before the one the last pick took is in the set already, and
         the set only grows, so the scan takes what resuming after that pick
-        would.  random-var draws anew on every pick instead
-        (`_draw_candidate`)."""
+        would.  random-var instead draws a candidate from the plan's
+        choices on every pick (`_draw_candidate`)."""
         tried = self._tried_at(point, op)
         if tried is None:
             return None
@@ -584,7 +584,7 @@ class RepairSession:
         forms.add(printed)
         new = printed not in tried
         tried.add(printed)
-        if len(forms) >= substitution_space_size(ingredient, point.env):
+        if len(forms) >= math.prod(map(len, plan.choices)):
             tried.add(ingredient.printed)
         if not new:
             return self._fruitless(point, op, "duplicates", exhausted=False)
@@ -596,16 +596,18 @@ class RepairSession:
         """random-var: one substitution drawn from the session's stream, as
         (the project's plan of the entry at the point, the index of the
         drawn candidate in it), or None when some variable has no
-        same-typed name in scope.  The plan holds the substitutions drawn
-        so far, by any session, each printed when first drawn, so each form
-        is printed once per project."""
-        drawn = transform_ingredient(ingredient, point.env, "random-var", rng=self.rng.transform)
-        if not drawn:
-            return None
-        if not drawn.names:
-            return drawn, 0  # the entry as it is (`Ingredient.as_is`)
-        plan = self._plan(ingredient, point, drawn.names)
-        substitution = drawn.substitutions[0]
+        same-typed name in scope.  Each variable in turn takes one uniform
+        draw from its `choices`, and the first with none ends the draw.
+        The plan collects the substitutions drawn so far, by any session,
+        each printed when first drawn, so each form is printed once per
+        project."""
+        plan = self._plan(ingredient, point)
+        drawn = []
+        for names in plan.choices:
+            if not names:
+                return None
+            drawn.append(self.rng.transform.choice(names))
+        substitution = tuple(drawn)
         try:
             return plan, plan.substitutions.index(substitution)
         except ValueError:
@@ -613,12 +615,12 @@ class RepairSession:
             plan.printed.append(print_tree(plan[len(plan) - 1]))
             return plan, len(plan) - 1
 
-    def _plan(self, ingredient: Ingredient, point: ModificationPoint, names=()) -> Candidates:
-        """The candidates of `ingredient` at `point`, each printed when the
-        plan is made: planned once per project and transform strategy,
-        except random-var's, which start empty, with the out-of-scope
-        `names`, and grow as sessions draw (`_draw`).  Where no variable is
-        out of scope, every point shares the plan `Ingredient.as_is`."""
+    def _plan(self, ingredient: Ingredient, point: ModificationPoint) -> Candidates:
+        """The plan of `ingredient` at `point` (`transform_ingredient`),
+        made and printed once per project and transform strategy.  Where no
+        variable is out of scope, every point shares the plan
+        `Ingredient.as_is`; random-var's plans grow as sessions draw
+        (`_draw`)."""
         strategy = self._ingredient_transform
         plans = self._shared(("plans", strategy), dict)
         # by the entry's identity: equal printed forms from other scopes can
@@ -626,14 +628,11 @@ class RepairSession:
         key = (point.node_id, id(ingredient))
         plan = plans.get(key)
         if plan is None:
-            if strategy == "random-var":
-                plan = Candidates(ingredient, names, [])
-            else:
-                model = self.name_model() if strategy == "name-probability" else None
-                plan = transform_ingredient(ingredient, point.env, strategy, name_model=model)
-                if not plan.printed:  # `Ingredient.as_is` comes printed
-                    plan.printed.extend(print_tree(plan[i]) for i in range(len(plan)))
-            plans[key] = plan
+            model = self.name_model() if strategy == "name-probability" else None
+            plan = plans[key] = transform_ingredient(ingredient, point.env, strategy,
+                                                     name_model=model)
+            if not plan.printed:  # `Ingredient.as_is` comes printed
+                plan.printed.extend(print_tree(plan[i]) for i in range(len(plan)))
         return plan
 
     # -- variants ----------------------------------------------------------------

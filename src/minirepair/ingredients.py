@@ -61,7 +61,7 @@ class Ingredient:
     def as_is(self) -> "Candidates":
         """The plan of the entry at every point where all its free
         variables are in scope: one candidate, the entry itself."""
-        return Candidates(self, (), [()], [self.printed])
+        return Candidates(self, (), (), [()], [self.printed])
 
 
 # the ingredient-scope extension point: config lists its keys; each maps
@@ -343,29 +343,13 @@ def out_of_scope_vars(ingredient: Ingredient, env: dict[str, Type]) -> list[tupl
     return sorted((name, ty) for name, ty in ingredient.free_vars if env.get(name) != ty)
 
 
-def _candidate_names(env: dict[str, Type], ty: Type) -> list[str]:
-    return sorted(name for name, env_ty in env.items() if env_ty == ty)
-
-
-def substitution_space_size(ingredient: Ingredient, env: dict[str, Type]) -> int:
-    """Number of distinct full substitutions for the out-of-scope variables
-    (0 when some variable's type has no in-scope counterpart)."""
-    size = 1
-    for _, ty in out_of_scope_vars(ingredient, env):
-        size *= len(_candidate_names(env, ty))
-    return size
-
-
-def ranked_substitutions(
-    out_vars: list[tuple[str, Type]], env: dict[str, Type], score
-) -> list[tuple[str, ...]]:
-    """Replacement names for `out_vars` (as from out_of_scope_vars), one
+def ranked_substitutions(choices, score) -> list[tuple[str, ...]]:
+    """Replacement names drawn from `choices` (`Candidates.choices`), one
     tuple per substitution: at most MAX_INSTANTIATIONS of them, ranked by
     descending `score(names)`, ties broken by the tuple itself.  With no
     out-of-scope variables the one substitution is the empty tuple; when
     some variable's type has no in-scope name there are none."""
-    pools = [_candidate_names(env, ty) for _, ty in out_vars]
-    combos = list(itertools.islice(itertools.product(*pools), MAX_INSTANTIATIONS))
+    combos = list(itertools.islice(itertools.product(*choices), MAX_INSTANTIATIONS))
     combos.sort(key=lambda names: (-score(names), names))
     return combos
 
@@ -375,17 +359,20 @@ class Candidates(Sequence):
     """The concrete subtrees an ingredient offers at one point, one per
     substitution of its out-of-scope variables, each built when read:
     item i is a fresh copy with `names` renamed to `substitutions[i]`.
+    `choices` holds, for each of `names`, the sorted in-scope names of its
+    type, from which every substitution takes its replacements.
 
     A plan is the same for every session on the project, which shares it
     (`engine.RepairSession`); `printed` holds the printed form of every
     candidate, which the engine prints when it makes the plan.  So a
     candidate is built to be printed once per project, and again only to
-    be spliced into a variant.  (random-var's shared plan starts empty and
-    collects the substitutions that sessions draw, each printed when
-    first drawn.)"""
+    be spliced into a variant.  (random-var's plan starts with no
+    substitutions: sessions draw them from `choices`, and the plan
+    collects each, printed when first drawn.)"""
 
     ingredient: Ingredient
     names: tuple[str, ...]  # the out-of-scope variables
+    choices: tuple[tuple[str, ...], ...]  # per variable, its same-typed in-scope names
     substitutions: list[tuple[str, ...]]  # replacement names, in the order to try
     printed: list[str] = field(default_factory=list)
 
@@ -397,29 +384,20 @@ class Candidates(Sequence):
         return substitute_variables(self.ingredient, mapping)
 
 
-def _random_substitution(out_vars, env, rng, name_model) -> list[tuple[str, ...]]:
-    drawn = []
-    for _, ty in out_vars:
-        in_scope = _candidate_names(env, ty)
-        if not in_scope:
-            return []
-        drawn.append(rng.choice(in_scope))
-    return [tuple(drawn)]
-
-
-def _by_name_similarity(out_vars, env, rng, name_model) -> list[tuple[str, ...]]:
-    return ranked_substitutions(out_vars, env, lambda names: math.prod(
-        lcs_length(orig, new) + 1 for (orig, _), new in zip(out_vars, names)
+def _by_name_similarity(names, choices, name_model) -> list[tuple[str, ...]]:
+    return ranked_substitutions(choices, lambda new_names: math.prod(
+        lcs_length(orig, new) + 1 for orig, new in zip(names, new_names)
     ))
 
 
 # the ingredient-transformation extension point: config lists its keys;
-# each gives the substitutions of an ingredient's out-of-scope variables
+# each gives the planned substitutions of the out-of-scope `names`, whose
+# replacements come from `choices`
 TRANSFORMS = {
-    "none": lambda out_vars, env, rng, name_model: [],
-    "random-var": _random_substitution,
-    "name-probability": lambda out_vars, env, rng, name_model: ranked_substitutions(
-        out_vars, env, name_model.score
+    "none": lambda names, choices, name_model: [],
+    "random-var": lambda names, choices, name_model: [],
+    "name-probability": lambda names, choices, name_model: ranked_substitutions(
+        choices, name_model.score
     ),
     "name-similarity": _by_name_similarity,
 }
@@ -429,17 +407,15 @@ def transform_ingredient(
     ingredient: Ingredient,
     env: dict[str, Type],
     strategy: str,
-    rng: SplitMix64 | None = None,
     name_model: NameFrequencyModel | None = None,
 ) -> Candidates:
-    """The candidates of an ingredient at a point whose scope is `env`: the
+    """The plan of an ingredient at a point whose scope is `env`: the
     ingredient itself when no free variable is out of scope, else
 
-    none          : nothing (the ingredient is discarded, never adapted)
-    random-var    : one substitution, every out-of-scope variable replaced
-                    by a uniformly drawn same-typed in-scope variable (drawn
-                    here, not when read); nothing when some variable has no
-                    same-typed name in scope
+    none          : no substitution (the ingredient is discarded, never
+                    adapted)
+    random-var    : no substitution yet; each pick draws one from the
+                    plan's `choices` (`engine.RepairSession._draw`)
     name-probability / name-similarity
                   : the substitutions of ranked_substitutions, ranked by
                     name-frequency product or by name-LCS score
@@ -447,5 +423,8 @@ def transform_ingredient(
     out_vars = out_of_scope_vars(ingredient, env)
     if not out_vars:
         return ingredient.as_is
-    substitutions = TRANSFORMS[strategy](out_vars, env, rng, name_model)
-    return Candidates(ingredient, tuple(name for name, _ in out_vars), substitutions)
+    names = tuple(name for name, _ in out_vars)
+    choices = tuple(
+        tuple(sorted(name for name, env_ty in env.items() if env_ty == ty)) for _, ty in out_vars
+    )
+    return Candidates(ingredient, names, choices, TRANSFORMS[strategy](names, choices, name_model))

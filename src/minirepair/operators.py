@@ -43,7 +43,6 @@ from minirepair.lang.types import free_refs
 
 class RepairOperator:
     name: str = ""
-    granularity: str = "statement"
     needs_ingredient: bool = False
 
     def applicable(self, project: SourceProject, node: Node) -> bool:
@@ -127,7 +126,6 @@ def is_assignment_target_base(project: SourceProject, node: Node) -> bool:
 
 class RemoveStatement(RepairOperator):
     name = "remove"
-    granularity = "statement"
 
     def applicable(self, project, node):
         block = _parent_block(project, node)
@@ -143,7 +141,6 @@ class RemoveStatement(RepairOperator):
 
 class InsertBefore(RepairOperator):
     name = "insert-before"
-    granularity = "statement"
     needs_ingredient = True
 
     def applicable(self, project, node):
@@ -156,7 +153,6 @@ class InsertBefore(RepairOperator):
 
 class ReplaceStatement(RepairOperator):
     name = "replace"
-    granularity = "statement"
     needs_ingredient = True
 
     def applicable(self, project, node):
@@ -169,7 +165,6 @@ class ReplaceStatement(RepairOperator):
 
 class InsertReturnBefore(RepairOperator):
     name = "insert-return-before"
-    granularity = "statement"
 
     def applicable(self, project, node):
         if not node.is_statement() or _parent_block(project, node) is None:
@@ -188,8 +183,6 @@ class InsertReturnBefore(RepairOperator):
 
 
 class IfCondition(RepairOperator):
-    granularity = "statement"
-
     def __init__(self, value: bool):
         self.value = value
         self.name = "if-true" if value else "if-false"
@@ -202,8 +195,6 @@ class IfCondition(RepairOperator):
 
 
 class RelationalTo(RepairOperator):
-    granularity = "logical-relational"
-
     def __init__(self, to_op: str):
         self.to_op = to_op
         self.name = f"relational-to-{to_op}"
@@ -217,7 +208,6 @@ class RelationalTo(RepairOperator):
 
 class LogicalSwap(RepairOperator):
     name = "logical-swap"
-    granularity = "logical-relational"
 
     def applicable(self, project, node):
         return node.kind == "binary-op" and node.op in LOGICAL_OPS
@@ -230,7 +220,6 @@ class NegateInsert(RepairOperator):
     """Wrap a logical binary expression in `!(...)`."""
 
     name = "negate-insert"
-    granularity = "logical-relational"
 
     def applicable(self, project, node):
         return node.kind == "binary-op" and node.op in LOGICAL_OPS
@@ -242,7 +231,6 @@ class NegateInsert(RepairOperator):
 
 class NegateRemove(RepairOperator):
     name = "negate-remove"
-    granularity = "logical-relational"
 
     def applicable(self, project, node):
         return node.kind == "unary-op" and node.op == "!"
@@ -254,7 +242,6 @@ class NegateRemove(RepairOperator):
 
 class ReplaceExpression(RepairOperator):
     name = "replace-expression"
-    granularity = "expression"
     needs_ingredient = True
 
     def applicable(self, project, node):

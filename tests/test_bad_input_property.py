@@ -4,7 +4,10 @@ Each example corrupts a copy of corpus/abs-sign: `tests.json` replaced by
 another JSON value or one of its tests with a field replaced, dropped or
 added, `bug.json` replaced or given another `step_budget`, or one byte of
 the source flipped.  `cli.main` must then return 0 (patches found), 2
-(none found) or 1, and 1 only with an `error:` line on stderr.
+(none found) or 1, and 1 only with an `error:` line on stderr.  An input
+that loads (exit 0 or 2) is repaired a second time into another directory,
+which must receive the same exit code, stderr and bytes: `report.json`
+and every patch.
 """
 
 import contextlib
@@ -73,6 +76,21 @@ corruptions = st.one_of(
 )
 
 
+def repair(project, out):
+    """`cli.main` on `project` with jmutrepair, which repairs abs-sign within
+    five iterations, writing to `out`: (exit code, stderr)."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["repair", str(project), "--mode", "jmutrepair",
+                         "--max-iterations", "5", "--out", str(out)])
+    return code, stderr.getvalue()
+
+
+def written(out):
+    """The bytes of every file under `out`, by relative path."""
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(corruption=corruptions)
 def test_corrupted_project_exits_cleanly(corruption):
@@ -81,10 +99,12 @@ def test_corrupted_project_exits_cleanly(corruption):
         project = Path(tmp) / "abs-sign"
         shutil.copytree(BUG, project)
         (project / path).write_bytes(data)
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["repair", str(project), "--mode", "jkali",
-                             "--max-iterations", "5", "--out", str(Path(tmp) / "out")])
-    assert code in (0, 1, 2)
-    if code == 1:
-        assert stderr.getvalue().startswith("error:"), stderr.getvalue()
+        code, err = repair(project, Path(tmp) / "out")
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.startswith("error:"), err
+        else:  # the input loads: a second run writes the same bytes
+            first = written(Path(tmp) / "out")
+            assert "report.json" in {str(p) for p in first}
+            assert repair(project, Path(tmp) / "again") == (code, err)
+            assert written(Path(tmp) / "again") == first

@@ -337,6 +337,22 @@ def test_bench_repeated_item_exits_one(tmp_path, capsys, modes, bugs, message):
     assert not (tmp_path / "bench").exists()
 
 
+@pytest.mark.parametrize("modes, bugs, message", [
+    ("jkali,", "abs-sign", "--modes has an empty item"),
+    ("", "abs-sign", "--modes has an empty item"),
+    ("jkali", "", "--bugs has an empty item"),
+    ("jkali", "abs-sign,", "--bugs has an empty item"),
+    ("jkali", ",abs-sign", "--bugs has an empty item"),
+], ids=["modes-trailing", "modes-empty", "bugs-empty", "bugs-trailing", "bugs-leading"])
+def test_bench_empty_item_exits_one(tmp_path, capsys, modes, bugs, message):
+    code = run_cli("bench", str(CORPUS), "--modes", modes, "--bugs", bugs, "--seeds", "1",
+                   "--out", str(tmp_path / "bench"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "bench").exists()
+
+
 def test_bug_step_budget_applies(tmp_path):
     """bug.json's step budget beats the config file's, and --step-budget
     beats bug.json's."""

@@ -470,3 +470,29 @@ def test_no_retry_invariant_single_edit_candidates():
         session._validate = spying_validate
         session.run()
         assert seen
+
+
+def test_random_var_plans_each_entry_once_per_point(monkeypatch):
+    """random-var's plan of an entry at a point is made once per project
+    and read by every draw there: over tibra seeds 1-3 on one loaded
+    project, transform_ingredient runs at most once per (point, entry)."""
+    from minirepair import engine
+
+    project, suite, meta = load_bug("stock-scope")
+    plans = Counter()
+    transform = engine.transform_ingredient
+
+    def counting(ingredient, env, *args, **kwargs):
+        plans[id(env), id(ingredient)] += 1  # a point's env stands for the point
+        return transform(ingredient, env, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "transform_ingredient", counting)
+    picks = 0
+    for seed in (1, 2, 3):
+        config = config_from_preset("tibra", seed=seed)
+        config.step_budget = meta["step_budget"]
+        outcome = navigate(project, suite, config)
+        assert len({id(p.env) for p in outcome.session.points}) == len(outcome.session.points)
+        picks += outcome.stats.iterations
+    assert plans and picks > len(plans)
+    assert max(plans.values()) == 1

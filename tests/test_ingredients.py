@@ -13,7 +13,6 @@ from minirepair.ingredients import (
     lcs_length,
     mine_templates,
     select_ingredient,
-    substitution_space_size,
     token_multiset,
     transform_ingredient,
 )
@@ -238,7 +237,7 @@ def test_no_free_vars_unchanged_under_all_strategies():
     ing = make_ingredient("fn f() -> int { return 42; }", "return 42;")
     model = build_name_model(parse_project([("m.mini", "fn g() -> int { return 0; }")]))
     for strategy in ("none", "random-var", "name-probability", "name-similarity"):
-        out = transform_ingredient(ing, {}, strategy, rng=SplitMix64(1), name_model=model)
+        out = transform_ingredient(ing, {}, strategy, name_model=model)
         assert len(out) == 1
         assert print_tree(out[0]) == "return 42;"
 
@@ -251,25 +250,26 @@ def test_none_strategy_discards_out_of_scope():
     assert len(kept) == 1
 
 
-def test_random_var_replacement_seeded():
+def test_random_var_plan_holds_choices():
+    """random-var plans no substitution: it holds, per out-of-scope
+    variable, the sorted same-typed names in scope, which picks draw from."""
     ing = make_ingredient("fn f(z: int) -> int { let y = z + 1; return y; }",
                           "let y = z + 1;")
-    env = {"a": INT, "b": INT}
-    out = transform_ingredient(ing, env, "random-var", rng=SplitMix64(7))
-    assert len(out) == 1
-    printed = print_tree(out[0])
-    assert printed in ("let y = a + 1;", "let y = b + 1;")
-    # replay with the same seed is identical
-    again = transform_ingredient(ing, env, "random-var", rng=SplitMix64(7))
-    assert print_tree(again[0]) == printed
-    assert substitution_space_size(ing, env) == 2
+    plan = transform_ingredient(ing, {"b": INT, "a": INT, "s": STRING}, "random-var")
+    assert plan.names == ("z",)
+    assert plan.choices == (("a", "b"),)
+    assert plan.substitutions == [] and len(plan) == 0
+    in_scope = transform_ingredient(ing, {"z": INT, "a": INT}, "random-var")
+    assert in_scope.choices == ()
+    assert [print_tree(t) for t in in_scope] == ["let y = z + 1;"]
 
 
 def test_random_var_untransformable():
     ing = make_ingredient("fn f(z: int) -> int { let y = z + 1; return y; }",
                           "let y = z + 1;")
-    assert len(transform_ingredient(ing, {"s": STRING}, "random-var", rng=SplitMix64(1))) == 0
-    assert substitution_space_size(ing, {"s": STRING}) == 0
+    plan = transform_ingredient(ing, {"s": STRING}, "random-var")
+    assert plan.choices == ((),)
+    assert len(plan) == 0
 
 
 def test_substitution_respects_inner_binders():
@@ -306,7 +306,7 @@ def test_name_similarity_ranking_order():
     ing = make_ingredient("fn f(counter: int) -> int { return counter; }",
                           "return counter;")
     env = {"count": INT, "x": INT}
-    out = transform_ingredient(ing, env, "name-similarity", rng=SplitMix64(1))
+    out = transform_ingredient(ing, env, "name-similarity")
     assert [print_tree(n) for n in out] == ["return count;", "return x;"]
     assert lcs_length("counter", "count") == 5
 

@@ -285,7 +285,7 @@ def test_every_operator_output_reparses(corpus_names):
                         continue
                     ing = None
                     if op.needs_ingredient:
-                        ing = expr_ingredient if op.granularity == "expression" else simple_ingredient
+                        ing = expr_ingredient if space.name == "r-expression" else simple_ingredient
                     patched = apply_operator(project, op, nid, ing)
                     assert patched is not None
                     sources = print_sources(patched)

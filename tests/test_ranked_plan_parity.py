@@ -2,8 +2,8 @@
 paths it replaced.
 
 The project plans an entry's candidates once per point, and each pick
-scans that plan from the top (random-var replans on every pick, since it
-draws anew).
+scans that plan from the top (random-var's picks draw from the plan's
+in-scope names instead).
 Two oracles keep the algorithms that plan replaced, and each must give the
 same search, byte for byte:
 
@@ -26,7 +26,6 @@ from minirepair.engine import RepairSession, Transformation, navigate
 from minirepair.ingredients import (
     out_of_scope_vars,
     substitute_variables,
-    substitution_space_size,
     transform_ingredient,
 )
 from minirepair.lang.printer import print_tree
@@ -107,6 +106,15 @@ def rebuild_every_pick(self, point, op):
     claim(self, point, op, ingredient.printed)
     self.stats.duplicates += 1
     return None
+
+
+def substitution_space_size(ingredient, env):
+    """Number of distinct full substitutions for the out-of-scope variables
+    (0 when some variable's type has no in-scope counterpart)."""
+    size = 1
+    for _, ty in out_of_scope_vars(ingredient, env):
+        size *= sum(env_ty == ty for env_ty in env.values())
+    return size
 
 
 def eager_transform(ingredient, env, strategy, rng):
