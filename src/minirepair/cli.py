@@ -74,6 +74,10 @@ def load_project_dir(project_dir: str | Path) -> tuple[SourceProject, list[TestC
     read the optional <dir>/bug.json: a JSON object whose step_budget, if
     present, is a positive integer."""
     root = Path(project_dir)
+    if not root.exists():
+        raise ProjectLoadError(f"{root}: no such directory")
+    if not root.is_dir():
+        raise ProjectLoadError(f"{root}: not a directory")
     src_root = root / "src"
     if not src_root.is_dir():
         raise ProjectLoadError(f"{root}: missing src/ directory")

@@ -49,7 +49,6 @@ class TestCase:
 @dataclass(frozen=True)
 class TestResult:
     test: TestCase
-    covered: frozenset[int]
     passed: bool
     trace: ExecutionTrace
 
@@ -71,7 +70,7 @@ class SpectrumMatrix:
             else:
                 matrix.total_failing += 1
             bucket = matrix.ep if r.passed else matrix.ef
-            for sid in r.covered:
+            for sid in r.trace.covered:
                 bucket[sid] = bucket.get(sid, 0) + 1
         return matrix
 
@@ -112,7 +111,7 @@ def verdict(test: TestCase, trace: ExecutionTrace) -> bool:
 
 def run_test(project: SourceProject, test: TestCase, step_budget: int) -> TestResult:
     trace = execute(project, test.entry, list(test.args), step_budget)
-    return TestResult(test, trace.covered, verdict(test, trace), trace)
+    return TestResult(test, verdict(test, trace), trace)
 
 
 def check_suite(suite: Sequence[TestCase]) -> None:

@@ -42,7 +42,6 @@ MAX_INSTANTIATIONS = 200
 class Ingredient:
     printed: str
     subtree: Node  # attached to the original project; clone before splicing
-    granularity: str  # statement | expression | template
     node_id: int
     origin_function: str
     free_vars: frozenset[tuple[str, Type]]
@@ -76,7 +75,6 @@ SCOPES = {
 @dataclass
 class IngredientPool:
     scope: str
-    granularity: str
     entries_by_key: dict[str, list[Ingredient]] = field(default_factory=dict)
 
     def scope_key(self, file_path: str, module: str) -> str:
@@ -96,14 +94,12 @@ def _harvest_nodes(project: SourceProject, granularity: str):
                     yield sf, fn, node
 
 
-def _pool(
-    project: SourceProject, scope: str, granularity: str, harvest: str, entry
-) -> IngredientPool:
+def _pool(project: SourceProject, scope: str, harvest: str, entry) -> IngredientPool:
     """The pool of the project's nodes of granularity `harvest`, each made
     into an entry by `entry(node) -> (subtree, free variables)` or skipped
     where that gives None, grouped by scope key and deduplicated by printed
     form (first occurrence in node-id order wins)."""
-    pool = IngredientPool(scope, granularity)
+    pool = IngredientPool(scope)
     seen: set[tuple[str, str]] = set()
     for sf, fn, node in _harvest_nodes(project, harvest):
         made = entry(node)
@@ -115,8 +111,7 @@ def _pool(
         if (key, printed) not in seen:
             seen.add((key, printed))
             pool.entries_by_key.setdefault(key, []).append(Ingredient(
-                printed, subtree, granularity, node.node_id, fn.name, free_vars,
-            ))
+                printed, subtree, node.node_id, fn.name, free_vars))
     return pool
 
 
@@ -128,8 +123,7 @@ def build_pool(
 ) -> IngredientPool:
     """Collect every subtree of the granularity, grouped by scope key and
     deduplicated by printed form (first occurrence in node-id order wins)."""
-    return _pool(project, scope, granularity, granularity,
-                 lambda node: (node, free_variables(node, types)))
+    return _pool(project, scope, granularity, lambda node: (node, free_variables(node, types)))
 
 
 # -- templates ---------------------------------------------------------------
@@ -174,7 +168,7 @@ def mine_templates(project: SourceProject, types: ProjectTypes, scope: str = "gl
         result = abstract_expression(node, types)
         return None if result is None else (result[0], frozenset(result[1]))
 
-    return _pool(project, scope, "template", "expression", template)
+    return _pool(project, scope, "expression", template)
 
 
 # -- name statistics and similarity -------------------------------------------

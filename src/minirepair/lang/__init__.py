@@ -18,7 +18,7 @@ from minirepair.lang.ast import (
 )
 from minirepair.lang.interp import ExecutionTrace, Outcome, UNIT, execute
 from minirepair.lang.parser import parse_file_source
-from minirepair.lang.printer import print_file, print_node
+from minirepair.lang.printer import print_file
 from minirepair.lang.types import ProjectTypes, TypeCheckError, check_project, env_at, free_variables
 
 __all__ = [
@@ -47,5 +47,4 @@ __all__ = [
     "parse_project",
     "pre_order",
     "print_file",
-    "print_node",
 ]

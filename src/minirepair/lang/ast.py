@@ -257,9 +257,6 @@ class SourceProject:
             node = self.nodes[pid] if pid is not None else None
         return node
 
-    def statement_ids(self) -> list[int]:
-        return sorted(nid for nid, n in self.nodes.items() if n.is_statement())
-
     def clone(self) -> "SourceProject":
         """Deep copy of every tree, with the node ids and the indexes."""
         dup = self.derive()

@@ -441,7 +441,7 @@ class _Run:
         self.covered: set[int] = set()
         self.depth = 0
 
-    def step(self, node: Node) -> None:
+    def step(self) -> None:
         self.steps += 1
         if self.steps > self.budget:
             raise _Timeout()
@@ -450,7 +450,7 @@ class _Run:
 
     def exec_block(self, block: Node, scopes: list[dict]) -> None:
         self.covered.add(block.node_id)
-        self.step(block)
+        self.step()
         scopes.append({})
         try:
             for stmt in block.children:
@@ -464,7 +464,7 @@ class _Run:
             self.exec_block(stmt, scopes)
             return
         self.covered.add(stmt.node_id)
-        self.step(stmt)
+        self.step()
         if kind == "var-decl":
             scopes[-1][stmt.name] = self.eval(stmt.children[0], scopes)
         elif kind == "assign":
@@ -533,7 +533,7 @@ class _Run:
         return value
 
     def eval(self, node: Node, scopes):
-        self.step(node)
+        self.step()
         kind = node.kind
         if kind == "literal":
             if node.op == "array":

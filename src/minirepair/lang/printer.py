@@ -140,12 +140,6 @@ def print_sources(project: SourceProject) -> dict[str, str]:
     return {sf.path: print_file(sf) for sf in project.files}
 
 
-def print_node(project: SourceProject, node_id: int) -> str:
-    """Canonical source text of one node (no trailing newline)."""
-    node = project.node(node_id)
-    return print_tree(node)
-
-
 def print_tree(node: Node) -> str:
     if node.kind == "function":
         return "\n".join(function_lines(node))

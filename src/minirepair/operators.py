@@ -16,14 +16,15 @@ Operators never mutate the project they are asked about.  `apply_edits`
 is the one way to apply them: it builds a variant that shares every node
 with the project except the path from the function root down to each
 edited node, which it copies, and it updates the variant's indexes after
-each edit only where the edit changed them.  `apply_operator` (one edit)
-and the engine's `materialize` (a variant's transformation list) both go
-through it.  An operator's `mutate` changes only its target and the
-children of its target or of the target's parent, leaves the subtrees it
-moves intact, gives new nodes node_id -1, and never touches a signature;
-the path copy, the local index update and the check of only a variant's
-edited functions rely on that.  An operator's `applicable` covers its structural preconditions;
-whole-variant scope/type checking happens separately at generation time.
+each edit only where the edit changed them.  The engine's `materialize`
+applies a variant's transformation list through it.  An operator's
+`mutate` changes only its target and the children of its target or of
+the target's parent, leaves the subtrees it moves intact, gives new
+nodes node_id -1, and never touches a signature; the path copy, the
+local index update and the check of only a variant's edited functions
+rely on that.  An operator's `applicable` covers its structural
+preconditions; whole-variant scope/type checking happens separately at
+generation time.
 """
 
 from __future__ import annotations
@@ -60,12 +61,6 @@ class RepairOperator:
 class OperatorSpace:
     name: str
     operators: tuple[RepairOperator, ...]
-
-    def by_name(self, name: str) -> RepairOperator:
-        for op in self.operators:
-            if op.name == name:
-                return op
-        raise KeyError(name)
 
 
 def _parent_block(project: SourceProject, node: Node) -> Node | None:
@@ -321,22 +316,3 @@ def apply_edits(
         variant.relink(parent, siblings, owned)
         variant.relink(target, children, owned)
     return variant, frozenset(edited)
-
-
-def apply_operator(
-    project: SourceProject, op: RepairOperator, node_id: int, ingredient: Node | None = None
-) -> SourceProject | None:
-    """Apply one operator with `apply_edits`.
-
-    Returns the transformed project, or None when the operator is not
-    applicable at the node.  Neither the input project nor the ingredient
-    is modified: a clone of the ingredient is spliced.
-    """
-    node = project.node(node_id)
-    if not op.applicable(project, node):
-        return None
-    if op.needs_ingredient and ingredient is None:
-        raise ValueError(f"operator {op.name} needs an ingredient")
-    if ingredient is not None:
-        ingredient = ingredient.clone()
-    return apply_edits(project, [(op, node_id, ingredient)])[0]

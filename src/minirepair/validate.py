@@ -3,10 +3,10 @@
 Fitness is the number of failing test cases; zero means the variant is a
 test-suite-adequate patch.  During the search, validation runs the
 originally-failing tests first and skips the passing set as soon as one of
-them still fails (the reported count is then a lower bound, flagged
-short_circuited).  Every candidate solution is re-validated on the full
-suite before a patch is emitted, so emitted patches never rely on a
-short-circuited result.
+them still fails (the reported count is then a lower bound, and the
+verdicts list only the tests that ran).  Every candidate solution is
+re-validated on the full suite before a patch is emitted, so emitted
+patches never rely on a short-circuited result.
 
 Post-processing (`refine_patches`) minimizes each solution by greedily
 dropping transformations whose removal keeps fitness at zero, iterating
@@ -34,7 +34,6 @@ from minirepair.lang.printer import print_sources
 class ValidationResult:
     verdicts: tuple[tuple[str, bool], ...]  # (test name, passed) in run order
     failing: int
-    short_circuited: bool
     steps: int
 
 
@@ -89,13 +88,13 @@ def validate_variant(
     failing = 0
     for phase in (baseline.failing, baseline.passing):
         if short_circuit and failing > 0:
-            return ValidationResult(tuple(verdicts), failing, True, steps)
+            return ValidationResult(tuple(verdicts), failing, steps)
         for result in _run_tests(variant_project, phase, step_budget):
             verdicts.append((result.test.name, result.passed))
             steps += result.trace.steps
             if not result.passed:
                 failing += 1
-    return ValidationResult(tuple(verdicts), failing, False, steps)
+    return ValidationResult(tuple(verdicts), failing, steps)
 
 
 @dataclass

@@ -6,6 +6,7 @@ import pytest
 from minirepair.cli import load_project_dir
 from minirepair.ingredients import Ingredient
 from minirepair.lang.printer import print_tree
+from minirepair.operators import apply_edits
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
@@ -18,6 +19,27 @@ def corpus_bug_names():
 def load_bug(name: str):
     """(project, suite, meta) for one corpus bug."""
     return load_project_dir(CORPUS / name)
+
+
+def by_name(space, name: str):
+    """The operator of `space` called `name`."""
+    for op in space.operators:
+        if op.name == name:
+            return op
+    raise KeyError(name)
+
+
+def apply_operator(project, op, node_id: int, ingredient=None):
+    """One edit with `apply_edits`: the transformed project, or None when
+    the operator is not applicable at the node.  Neither the project nor
+    the ingredient is modified: a clone of the ingredient is spliced."""
+    if not op.applicable(project, project.node(node_id)):
+        return None
+    if op.needs_ingredient and ingredient is None:
+        raise ValueError(f"operator {op.name} needs an ingredient")
+    if ingredient is not None:
+        ingredient = ingredient.clone()
+    return apply_edits(project, [(op, node_id, ingredient)])[0]
 
 
 def nested(frames: int, fn):
@@ -39,4 +61,4 @@ def corpus_names():
 def one_tree_plan(tree):
     """The plan of one candidate, `tree` itself: a Transformation of plan
     and index 0 splices a copy of it."""
-    return Ingredient(print_tree(tree), tree, "statement", tree.node_id, "", frozenset()).as_is
+    return Ingredient(print_tree(tree), tree, tree.node_id, "", frozenset()).as_is

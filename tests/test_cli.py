@@ -616,6 +616,26 @@ def test_unreadable_source_exits_one_without_traceback(tmp_path, capsys, command
     assert not (tmp_path / "out").exists()
 
 
+# a missing project once got "missing src/ directory", as did a regular file
+@pytest.mark.parametrize("command", ["repair", "bench"])
+@pytest.mark.parametrize("kind,message", [("missing", "no such directory"),
+                                          ("file", "not a directory")])
+def test_project_that_is_not_a_directory_exits_one(tmp_path, capsys, command, kind, message):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    project = corpus / "nosuch"
+    if kind == "file":
+        project.write_text("fn f() -> int { return 1; }\n")
+    if command == "repair":
+        code = run_cli("repair", str(project), "--mode", "jkali", "--out", str(tmp_path / "out"))
+    else:
+        code = run_cli("bench", str(corpus), "--modes", "jkali", "--bugs", "nosuch",
+                       "--seeds", "1", "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {project}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "tests_json,message",
     [("[]", "test suite is empty"),

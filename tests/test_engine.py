@@ -20,7 +20,7 @@ from minirepair.operators import space_irr_statements, space_suppression
 from minirepair.presets import config_from_preset
 from minirepair.rng import SplitMix64
 
-from conftest import load_bug
+from conftest import apply_operator, by_name, load_bug
 
 
 def mp(node_id, sv):
@@ -215,7 +215,7 @@ def test_create_transformation_remove_has_no_ingredient():
     session = make_session("extra-increment", mode="jkali")
     point = next(p for p in session.points
                  if print_tree(session.project.node(p.node_id)) == "s = s + 1;")
-    remove = session.space.by_name("remove")
+    remove = by_name(session.space, "remove")
     t = session.create_transformation(point, remove)
     assert t is not None and t.concrete is None
     # second creation of the same pair is suppressed
@@ -238,7 +238,7 @@ def test_exhausted_pool_gives_not_applicable():
     session = RepairSession(project, suite, config)
     point = next(p for p in session.points
                  if print_tree(session.project.node(p.node_id)) == "return x / 0;")
-    replace = session.space.by_name("replace")
+    replace = by_name(session.space, "replace")
     seen = set()
     while True:
         t = session.create_transformation(point, replace)
@@ -396,7 +396,6 @@ def test_exhaustive_completeness_matches_cross_product():
     triples that pass the scope/type gate."""
     from minirepair.ingredients import build_pool, transform_ingredient
     from minirepair.lang.types import cached_types, env_at
-    from minirepair.operators import apply_operator
 
     bug = "queue-scope"
     session = make_session(bug, mode="jgenprog", navigation="exhaustive",

@@ -19,7 +19,7 @@ from minirepair.faultloc import (
     tarantula,
     values_equal,
 )
-from minirepair.lang import UNIT, execute, parse_project
+from minirepair.lang import UNIT, ExecutionTrace, Outcome, execute, parse_project
 from minirepair.lang.ast import MiniSyntaxError
 from minirepair.lang.parser import MAX_NESTING
 
@@ -31,7 +31,8 @@ def make_matrix(rows):
     from minirepair.faultloc import TestResult
 
     results = [
-        TestResult(TestCase(f"t{i}", "f", ()), frozenset(cov), passed, None)
+        TestResult(TestCase(f"t{i}", "f", ()), passed,
+                   ExecutionTrace(frozenset(cov), Outcome("normal"), 0))
         for i, (cov, passed) in enumerate(rows)
     ]
     return SpectrumMatrix.from_results(results)

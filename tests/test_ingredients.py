@@ -23,7 +23,7 @@ from minirepair.lang.types import cached_types
 from minirepair.presets import config_from_preset
 from minirepair.rng import SplitMix64
 
-from conftest import load_bug
+from conftest import by_name, load_bug
 
 
 class PointStub:
@@ -379,7 +379,7 @@ def test_a_pair_records_each_attempt_once():
     session = RepairSession(project, suite, config_from_preset("jkali", seed=1))
     first, second = (p for p in session.points
                      if project.node(p.node_id).kind == "if")
-    op = session.space.by_name("if-true")
+    op = by_name(session.space, "if-true")
     t = session.create_transformation(first, op)
     assert t.edit == (first.node_id, "if-true", None)
     assert session.tried == {(first.node_id, "if-true"): {""}}

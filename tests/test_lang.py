@@ -13,7 +13,6 @@ from minirepair.lang import (
     nodes_equal,
     parse_project,
     print_file,
-    print_node,
     pre_order,
 )
 from minirepair.lang.ast import INT, STRING, UnknownNodeError
@@ -261,10 +260,10 @@ def test_minimal_parentheses_preserved():
         assert printed == text
 
 
-def test_print_node_unknown_id():
+def test_unknown_node_id():
     project = parse_one("fn f() -> int { return 1; }")
     with pytest.raises(UnknownNodeError):
-        print_node(project, 99999)
+        project.node(99999)
 
 
 def test_corpus_roundtrip_byte_exact(corpus_names):

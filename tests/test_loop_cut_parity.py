@@ -47,9 +47,9 @@ def steps_taken(source, entry, args, budget):
     taken = [0]
     step = interp._Run.step
 
-    def counting(self, node):
+    def counting(self):
         taken[0] += 1
-        step(self, node)
+        step(self)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(interp._Run, "step", counting)

@@ -25,12 +25,11 @@ from minirepair.operators import (
     RemoveStatement,
     ReplaceExpression,
     ReplaceStatement,
-    apply_operator,
 )
 from minirepair.presets import config_from_preset
 from minirepair.rng import SplitMix64
 
-from conftest import load_bug, one_tree_plan
+from conftest import apply_operator, load_bug, one_tree_plan
 
 PRESETS = ("jgenprog", "jkali", "jmutrepair", "cardumen")
 COMBINED_LISTS = 40  # seeded lists of length 2-3 per bug

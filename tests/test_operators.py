@@ -7,7 +7,6 @@ from minirepair.lang import Node, parse_project, pre_order
 from minirepair.lang.printer import print_sources, print_tree
 from minirepair.lang.types import check_project
 from minirepair.operators import (
-    apply_operator,
     default_return_node,
     is_assignment_target_base,
     operator_space,
@@ -17,7 +16,7 @@ from minirepair.operators import (
     space_suppression,
 )
 
-from conftest import load_bug
+from conftest import apply_operator, by_name, load_bug
 
 
 def parse_one(src):
@@ -25,9 +24,9 @@ def parse_one(src):
 
 
 def find_stmt(project, text):
-    for nid in project.statement_ids():
-        if print_tree(project.node(nid)) == text:
-            return project.node(nid)
+    for nid, node in sorted(project.nodes.items()):
+        if node.is_statement() and print_tree(node) == text:
+            return node
     raise AssertionError(f"no statement prints as {text!r}")
 
 
@@ -66,7 +65,7 @@ def test_unknown_space():
 
 def test_remove_deletes_statement_from_block():
     project = parse_one("fn f(x: int) -> int { x = x + 1; return x; }")
-    remove = space_irr_statements().by_name("remove")
+    remove = by_name(space_irr_statements(), "remove")
     target = find_stmt(project, "x = x + 1;")
     patched = apply_operator(project, remove, target.node_id)
     body = patched.functions["f"][1].children[0]
@@ -77,14 +76,14 @@ def test_remove_deletes_statement_from_block():
 
 def test_remove_guard_on_used_declaration():
     project = parse_one("fn f() -> int { let y = 1; return y; }")
-    remove = space_irr_statements().by_name("remove")
+    remove = by_name(space_irr_statements(), "remove")
     decl = find_stmt(project, "let y = 1;")
     assert apply_operator(project, remove, decl.node_id) is None
 
 
 def test_remove_unused_declaration_allowed():
     project = parse_one("fn f() -> int { let y = 1; return 2; }")
-    remove = space_irr_statements().by_name("remove")
+    remove = by_name(space_irr_statements(), "remove")
     decl = find_stmt(project, "let y = 1;")
     assert apply_operator(project, remove, decl.node_id) is not None
 
@@ -106,7 +105,7 @@ def test_remove_unused_declaration_allowed():
 )
 def test_remove_declaration_follows_the_checkers_binding_rule(source, decl, removable):
     project = parse_one(source)
-    remove = space_irr_statements().by_name("remove")
+    remove = by_name(space_irr_statements(), "remove")
     target = find_stmt(project, decl)
     assert remove.applicable(project, target) is removable
     if removable:
@@ -115,7 +114,7 @@ def test_remove_declaration_follows_the_checkers_binding_rule(source, decl, remo
 
 def test_insert_before_wraps_in_block():
     project = parse_one("fn f(x: int) -> int { return x; }")
-    insert = space_irr_statements().by_name("insert-before")
+    insert = by_name(space_irr_statements(), "insert-before")
     target = find_stmt(project, "return x;")
     ingredient = Node("return", [Node("literal", value=0)])
     patched = apply_operator(project, insert, target.node_id, ingredient)
@@ -135,7 +134,7 @@ def test_replace_yields_planted_fix_on_wrong_call_bug():
     # the buggy statement is floor_cost's return
     floor_fn = project.functions["floor_cost"][1]
     target = floor_fn.children[0].children[0]
-    replace = space_irr_statements().by_name("replace")
+    replace = by_name(space_irr_statements(), "replace")
     patched = apply_operator(project, replace, target.node_id, donor)
     matrix = run_suite(patched, suite, meta["step_budget"])
     assert matrix.total_failing == 0
@@ -164,7 +163,7 @@ def test_relational_logical_mutations(source, op_name, expected):
         f"fn f(x: int, a: bool, b: bool) -> bool {{ return {source}; }}"
     )
     target = find_expr(project, source)
-    op = space_relational_logical().by_name(op_name)
+    op = by_name(space_relational_logical(), op_name)
     patched = apply_operator(project, op, target.node_id)
     ret = patched.functions["f"][1].children[0].children[0]
     assert print_tree(ret.children[0]) == expected
@@ -173,7 +172,7 @@ def test_relational_logical_mutations(source, op_name, expected):
 def test_negate_remove():
     project = parse_one("fn f(a: bool) -> bool { return !a; }")
     target = find_expr(project, "!a")
-    patched = apply_operator(project, space_relational_logical().by_name("negate-remove"),
+    patched = apply_operator(project, by_name(space_relational_logical(), "negate-remove"),
                              target.node_id)
     ret = patched.functions["f"][1].children[0].children[0]
     assert print_tree(ret.children[0]) == "a"
@@ -189,7 +188,7 @@ def test_arithmetic_not_applicable_for_mutation():
 def test_identity_relational_mutation_not_applicable():
     project = parse_one("fn f(x: int) -> bool { return x < 0; }")
     target = find_expr(project, "x < 0")
-    assert apply_operator(project, space_relational_logical().by_name("relational-to-<"),
+    assert apply_operator(project, by_name(space_relational_logical(), "relational-to-<"),
                           target.node_id) is None
 
 
@@ -197,7 +196,7 @@ def test_if_condition_flips():
     project = parse_one("fn f(a: int, b: int) -> bool { if (a > b) { return true; } return false; }")
     target = next(n for n in pre_order(project.functions["f"][1]) if n.kind == "if")
     for name, literal in (("if-true", "true"), ("if-false", "false")):
-        patched = apply_operator(project, space_suppression().by_name(name), target.node_id)
+        patched = apply_operator(project, by_name(space_suppression(), name), target.node_id)
         cond = patched.functions["f"][1].children[0].children[0].children[0]
         assert print_tree(cond) == literal
 
@@ -216,7 +215,7 @@ def test_if_condition_flips():
 def test_insert_return_defaults(signature, expected):
     project = parse_one(f"fn f(x: int) {signature} {{ x = x + 1; {'return x;' if signature == '-> int' else ''} }}")
     target = find_stmt(project, "x = x + 1;")
-    op = space_suppression().by_name("insert-return-before")
+    op = by_name(space_suppression(), "insert-return-before")
     patched = apply_operator(project, op, target.node_id, None)
     body = patched.functions["f"][1].children[0]
     wrapper = body.children[0]
@@ -239,7 +238,7 @@ def test_replace_expression_rejects_assignment_target():
     assign = find_stmt(project, "a[i + 1] = 5;")
     lvalue = assign.children[0]
     base = lvalue.children[0]
-    op = space_r_expression().by_name("replace-expression")
+    op = by_name(space_r_expression(), "replace-expression")
     assert is_assignment_target_base(project, lvalue)
     assert is_assignment_target_base(project, base)
     assert apply_operator(project, op, lvalue.node_id, Node("literal", value=1)) is None
@@ -253,7 +252,7 @@ def test_replace_expression_rejects_assignment_target():
 
 def test_replace_literal_by_itself_is_noop_variant():
     project = parse_one("fn f() -> int { return 7; }")
-    op = space_r_expression().by_name("replace-expression")
+    op = by_name(space_r_expression(), "replace-expression")
     target = find_expr(project, "7")
     patched = apply_operator(project, op, target.node_id, Node("literal", value=7))
     assert print_sources(patched) == print_sources(project)
@@ -261,7 +260,7 @@ def test_replace_literal_by_itself_is_noop_variant():
 
 def test_purity_apply_twice_identical():
     project, _, _ = load_bug("abs-sign")
-    op = space_relational_logical().by_name("relational-to->=")
+    op = by_name(space_relational_logical(), "relational-to->=")
     target = find_expr(project, "x > 1")
     a = apply_operator(project, op, target.node_id)
     b = apply_operator(project, op, target.node_id)

@@ -103,7 +103,8 @@ def test_scope_stack_matches_oracle_at_every_point(corpus_names):
     checked = 0
     for name in corpus_names:
         project, _, _ = load_bug(name)
-        suspicious = [SuspiciousLocation(nid, 1.0) for nid in project.statement_ids()]
+        suspicious = [SuspiciousLocation(nid, 1.0) for nid, node in sorted(project.nodes.items())
+                      if node.is_statement()]
         for granularity in ("statement", "expression"):
             for point in create_modification_points(project, suspicious, granularity):
                 expected = oracle_scope_stack(project, point.node_id)
@@ -136,12 +137,12 @@ def test_free_variables_and_substitution_match_oracles(corpus_names):
     for name in corpus_names:
         project, _, _ = load_bug(name)
         types = cached_types(project)
-        pools = [build_pool(project, "global", "statement", types),
-                 build_pool(project, "global", "expression", types),
-                 mine_templates(project, types)]
-        for pool in pools:
+        pools = [(build_pool(project, "global", "statement", types), False),
+                 (build_pool(project, "global", "expression", types), False),
+                 (mine_templates(project, types), True)]
+        for pool, template in pools:
             for ingredient in pool.entries_by_key["*"]:
-                if pool.granularity != "template":
+                if not template:
                     assert ingredient.free_vars == oracle_free_variables(
                         ingredient.subtree, types)
                 names = set(ingredient.ref_names)

@@ -13,7 +13,7 @@ from minirepair.validate import (
     validate_variant,
 )
 
-from conftest import CORPUS, load_bug
+from conftest import CORPUS, by_name, load_bug
 
 
 def make_baseline(project, suite, budget):
@@ -36,14 +36,12 @@ def test_all_passing_is_zero():
 
 def test_short_circuit_skips_passing_set():
     """When an originally-failing test still fails, the passing set is
-    skipped and the count is flagged as a lower bound."""
+    skipped: only the failing set's verdicts are recorded."""
     project, suite, meta = load_bug("abs-sign")
     baseline = make_baseline(project, suite, meta["step_budget"])
     result = validate_variant(project, baseline, meta["step_budget"])
-    assert result.short_circuited
     assert len(result.verdicts) == len(baseline.failing)
     full = validate_variant(project, baseline, meta["step_budget"], short_circuit=False)
-    assert not full.short_circuited
     assert len(full.verdicts) == len(suite)
     assert full.failing >= result.failing
 
@@ -111,7 +109,7 @@ def test_minimization_drops_neutral_transformation():
 
     fix_point = next(p for p in session.points
                      if print_tree(session.project.node(p.node_id)) == "x > 1")
-    fix = session.create_transformation(fix_point, session.space.by_name("relational-to->="))
+    fix = session.create_transformation(fix_point, by_name(session.space, "relational-to->="))
     assert fix is not None
 
     # the second edit removes the unused declaration: fitness-neutral
