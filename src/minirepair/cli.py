@@ -68,16 +68,23 @@ INPUT_ERRORS = (
 )
 
 
+def _directory(path: str | Path) -> Path:
+    """`path`, which must name a directory: the one check of a project and
+    of a corpus, so that both get the same error."""
+    root = Path(path)
+    if not root.exists():
+        raise ProjectLoadError(f"{root}: no such directory")
+    if not root.is_dir():
+        raise ProjectLoadError(f"{root}: not a directory")
+    return root
+
+
 def load_project_dir(project_dir: str | Path) -> tuple[SourceProject, list[TestCase], dict]:
     """Parse <dir>/src/**/*.mini and <dir>/tests.json (paths are stored
     relative to src/, so module names follow the directory layout), and
     read the optional <dir>/bug.json: a JSON object whose step_budget, if
     present, is a positive integer."""
-    root = Path(project_dir)
-    if not root.exists():
-        raise ProjectLoadError(f"{root}: no such directory")
-    if not root.is_dir():
-        raise ProjectLoadError(f"{root}: not a directory")
+    root = _directory(project_dir)
     src_root = root / "src"
     if not src_root.is_dir():
         raise ProjectLoadError(f"{root}: missing src/ directory")
@@ -249,9 +256,10 @@ def summary_csv(rows: list[dict]) -> str:
 
 
 def cmd_bench(args) -> int:
-    corpus = Path(args.corpus_dir)
-    if not corpus.is_dir():
-        print(f"error: {corpus} is not a directory", file=sys.stderr)
+    try:
+        corpus = _directory(args.corpus_dir)
+    except ProjectLoadError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     bugs = discover_bugs(corpus) if args.bugs is None else args.bugs.split(",")
     modes = args.modes.split(",")

@@ -32,7 +32,6 @@ A session's outcome is that of a fresh project, whichever ran before it.
 
 from __future__ import annotations
 
-import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -540,8 +539,8 @@ class RepairSession:
         (or the vanilla strategy's with out-of-scope variables).  Every
         form before the one the last pick took is in the set already, and
         the set only grows, so the scan takes what resuming after that pick
-        would.  random-var instead draws a candidate from the plan's
-        choices on every pick (`_draw_candidate`)."""
+        would.  random-var instead draws the index of its candidate in the
+        plan on every pick (`_draw_candidate`)."""
         tried = self._tried_at(point, op)
         if tried is None:
             return None
@@ -571,56 +570,39 @@ class RepairSession:
         self, point: ModificationPoint, op: RepairOperator, ingredient: Ingredient,
         tried: set[str],
     ) -> Optional[Transformation]:
-        """random-var's pick: one candidate drawn anew (`_draw`).  The entry
-        is sealed once every distinct form was drawn, or at once when no
-        form can be drawn."""
-        drawn = self._draw(ingredient, point)
-        if drawn is None:
-            tried.add(ingredient.printed)
-            return self._fruitless(point, op, "not_applicable", exhausted=False)
-        plan, index = drawn
+        """random-var's pick: one candidate of the entry's plan, drawn from
+        the session's stream.  Each variable in turn draws one of its
+        `choices`, and the draws, read as a mixed-radix number, index the
+        plan in product order; an index past the plan's cap is drawn again
+        over the whole plan, so every candidate is equally likely.  The
+        entry is sealed once the distinct forms drawn at the pair fill the
+        plan, or at once when some variable has no name to draw."""
+        plan = self._plan(ingredient, point)
+        stream = self.rng.transform
+        index = 0
+        for names in plan.choices:
+            if not names:
+                tried.add(ingredient.printed)
+                return self._fruitless(point, op, "not_applicable", exhausted=False)
+            index = index * len(names) + stream.below(len(names))
+        if index >= len(plan):
+            index = stream.below(len(plan))
         printed = plan.printed[index]
         forms = self._drawn_forms.setdefault((point.node_id, op.name, ingredient.printed), set())
         forms.add(printed)
         new = printed not in tried
         tried.add(printed)
-        if len(forms) >= math.prod(map(len, plan.choices)):
+        if len(forms) >= len(plan):
             tried.add(ingredient.printed)
         if not new:
             return self._fruitless(point, op, "duplicates", exhausted=False)
         return Transformation(point, op, plan, index)
 
-    def _draw(
-        self, ingredient: Ingredient, point: ModificationPoint
-    ) -> Optional[tuple[Candidates, int]]:
-        """random-var: one substitution drawn from the session's stream, as
-        (the project's plan of the entry at the point, the index of the
-        drawn candidate in it), or None when some variable has no
-        same-typed name in scope.  Each variable in turn takes one uniform
-        draw from its `choices`, and the first with none ends the draw.
-        The plan collects the substitutions drawn so far, by any session,
-        each printed when first drawn, so each form is printed once per
-        project."""
-        plan = self._plan(ingredient, point)
-        drawn = []
-        for names in plan.choices:
-            if not names:
-                return None
-            drawn.append(self.rng.transform.choice(names))
-        substitution = tuple(drawn)
-        try:
-            return plan, plan.substitutions.index(substitution)
-        except ValueError:
-            plan.substitutions.append(substitution)
-            plan.printed.append(print_tree(plan[len(plan) - 1]))
-            return plan, len(plan) - 1
-
     def _plan(self, ingredient: Ingredient, point: ModificationPoint) -> Candidates:
         """The plan of `ingredient` at `point` (`transform_ingredient`),
         made and printed once per project and transform strategy.  Where no
         variable is out of scope, every point shares the plan
-        `Ingredient.as_is`; random-var's plans grow as sessions draw
-        (`_draw`)."""
+        `Ingredient.as_is`."""
         strategy = self._ingredient_transform
         plans = self._shared(("plans", strategy), dict)
         # by the entry's identity: equal printed forms from other scopes can
@@ -802,17 +784,11 @@ class RepairSession:
         tried = self._tried_at(point, op)
         if tried is None:
             return
-        pool = self.ingredient_pool()
-        for entry in list(pool.entries(point.file, point.module)):
-            if self._ingredient_transform == "random-var":
-                drawn = self._draw(entry, point)
-                candidates = [drawn] if drawn else []
-            else:
-                plan = self._plan(entry, point)
-                candidates = [(plan, index) for index in range(len(plan))]
-            for plan, index in candidates:
-                if plan.printed[index] not in tried:
-                    tried.add(plan.printed[index])
+        for entry in self.ingredient_pool().entries(point.file, point.module):
+            plan = self._plan(entry, point)
+            for index, printed in enumerate(plan.printed):
+                if printed not in tried:
+                    tried.add(printed)
                     yield Transformation(point, op, plan, index)
 
     def _run_exhaustive(self) -> None:

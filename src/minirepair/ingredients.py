@@ -356,13 +356,13 @@ class Candidates(Sequence):
     `choices` holds, for each of `names`, the sorted in-scope names of its
     type, from which every substitution takes its replacements.
 
-    A plan is the same for every session on the project, which shares it
-    (`engine.RepairSession`); `printed` holds the printed form of every
-    candidate, which the engine prints when it makes the plan.  So a
-    candidate is built to be printed once per project, and again only to
-    be spliced into a variant.  (random-var's plan starts with no
-    substitutions: sessions draw them from `choices`, and the plan
-    collects each, printed when first drawn.)"""
+    A plan is complete when it is made and the same for every session on
+    the project, which shares it (`engine.RepairSession`); `printed` holds
+    the printed form of every candidate, which the engine prints when it
+    makes the plan.  So a candidate is built to be printed once per
+    project, and again only to be spliced into a variant.  Picks scan the
+    plan in order, except random-var's, which draw an index into it from
+    `choices`."""
 
     ingredient: Ingredient
     names: tuple[str, ...]  # the out-of-scope variables
@@ -389,7 +389,9 @@ def _by_name_similarity(names, choices, name_model) -> list[tuple[str, ...]]:
 # replacements come from `choices`
 TRANSFORMS = {
     "none": lambda names, choices, name_model: [],
-    "random-var": lambda names, choices, name_model: [],
+    "random-var": lambda names, choices, name_model: ranked_substitutions(
+        choices, lambda new_names: 0
+    ),
     "name-probability": lambda names, choices, name_model: ranked_substitutions(
         choices, name_model.score
     ),
@@ -408,8 +410,10 @@ def transform_ingredient(
 
     none          : no substitution (the ingredient is discarded, never
                     adapted)
-    random-var    : no substitution yet; each pick draws one from the
-                    plan's `choices` (`engine.RepairSession._draw`)
+    random-var    : the substitutions of ranked_substitutions under one
+                    score: the product of the sorted `choices` in product
+                    order, from which each pick draws one
+                    (`engine.RepairSession._draw_candidate`)
     name-probability / name-similarity
                   : the substitutions of ranked_substitutions, ranked by
                     name-frequency product or by name-LCS score

@@ -616,8 +616,10 @@ def test_unreadable_source_exits_one_without_traceback(tmp_path, capsys, command
     assert not (tmp_path / "out").exists()
 
 
-# a missing project once got "missing src/ directory", as did a regular file
-@pytest.mark.parametrize("command", ["repair", "bench"])
+# a missing project once got "missing src/ directory", as did a regular
+# file; bench-corpus passes the path to bench as its corpus, which once got
+# "<path> is not a directory"
+@pytest.mark.parametrize("command", ["repair", "bench", "bench-corpus"])
 @pytest.mark.parametrize("kind,message", [("missing", "no such directory"),
                                           ("file", "not a directory")])
 def test_project_that_is_not_a_directory_exits_one(tmp_path, capsys, command, kind, message):
@@ -628,9 +630,11 @@ def test_project_that_is_not_a_directory_exits_one(tmp_path, capsys, command, ki
         project.write_text("fn f() -> int { return 1; }\n")
     if command == "repair":
         code = run_cli("repair", str(project), "--mode", "jkali", "--out", str(tmp_path / "out"))
-    else:
+    elif command == "bench":
         code = run_cli("bench", str(corpus), "--modes", "jkali", "--bugs", "nosuch",
                        "--seeds", "1", "--out", str(tmp_path / "out"))
+    else:
+        code = run_cli("bench", str(project), "--modes", "jkali", "--out", str(tmp_path / "out"))
     assert code == 1
     assert capsys.readouterr().err == f"error: {project}: {message}\n"
     assert not (tmp_path / "out").exists()

@@ -1,11 +1,13 @@
 """Ingredient pools, selection strategies, transformation, templates."""
 
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
-from minirepair.engine import RepairSession
+from minirepair.engine import ModificationPoint, RepairSession
 from minirepair.ingredients import (
+    MAX_INSTANTIATIONS,
     FunctionSimilarity,
     build_name_model,
     build_pool,
@@ -251,14 +253,15 @@ def test_none_strategy_discards_out_of_scope():
 
 
 def test_random_var_plan_holds_choices():
-    """random-var plans no substitution: it holds, per out-of-scope
-    variable, the sorted same-typed names in scope, which picks draw from."""
+    """random-var plans every substitution: the product, in product order,
+    of the sorted same-typed names in scope of each out-of-scope variable."""
     ing = make_ingredient("fn f(z: int) -> int { let y = z + 1; return y; }",
                           "let y = z + 1;")
     plan = transform_ingredient(ing, {"b": INT, "a": INT, "s": STRING}, "random-var")
     assert plan.names == ("z",)
     assert plan.choices == (("a", "b"),)
-    assert plan.substitutions == [] and len(plan) == 0
+    assert plan.substitutions == [("a",), ("b",)]
+    assert [print_tree(t) for t in plan] == ["let y = a + 1;", "let y = b + 1;"]
     in_scope = transform_ingredient(ing, {"z": INT, "a": INT}, "random-var")
     assert in_scope.choices == ()
     assert [print_tree(t) for t in in_scope] == ["let y = z + 1;"]
@@ -270,6 +273,31 @@ def test_random_var_untransformable():
     plan = transform_ingredient(ing, {"s": STRING}, "random-var")
     assert plan.choices == ((),)
     assert len(plan) == 0
+
+
+def test_random_var_draws_cover_a_capped_plan():
+    """A random-var product past MAX_INSTANTIATIONS (3 variables x 7 names
+    = 343) is capped like the ranked plans, and its draws stay inside the
+    plan: an index past the cap is drawn again over the plan, so over
+    seeded picks every index is reached."""
+    ing = make_ingredient("fn f(p: int, q: int, r: int) -> int { let y = p + q + r; return y; }",
+                          "let y = p + q + r;")
+    env = {name: INT for name in "abcdefg"}
+    plan = transform_ingredient(ing, env, "random-var")
+    assert len(plan.choices) == 3 and len(plan) == MAX_INSTANTIATIONS < 7 ** 3
+    assert plan.substitutions[:2] == [("a", "a", "a"), ("a", "a", "b")]
+    plan.printed.extend(print_tree(plan[i]) for i in range(len(plan)))
+    session = SimpleNamespace(_plan=lambda ingredient, point: plan, _drawn_forms={},
+                              rng=SimpleNamespace(transform=SplitMix64(7)))
+    point = ModificationPoint(1, "statement", 1.0, env)
+    op = SimpleNamespace(name="replace")
+    reached = Counter()
+    for _ in range(4000):
+        t = RepairSession._draw_candidate(session, point, op, ing, set())
+        assert t.plan is plan and 0 <= t.index < len(plan)
+        assert t.edit[2] == plan.printed[t.index]
+        reached[t.index] += 1
+    assert sorted(reached) == list(range(len(plan)))
 
 
 def test_substitution_respects_inner_binders():

@@ -2,8 +2,8 @@
 paths it replaced.
 
 The project plans an entry's candidates once per point, and each pick
-scans that plan from the top (random-var's picks draw from the plan's
-in-scope names instead).
+scans that plan from the top (random-var's picks draw an index into the
+plan instead).
 Two oracles keep the algorithms that plan replaced, and each must give the
 same search, byte for byte:
 

@@ -4,13 +4,14 @@ Exhaustive navigation with no solution or iteration limit validates every
 candidate of a preset's space once.  The acceptance suite checks that the
 presets `bug.json` lists in `reachable_by` repair the bug; this checks the
 labels both ways: a preset's space holds a test-suite-adequate patch
-exactly when the preset is listed.  tibra's space is partial, because
-exhaustive navigation draws one random-var substitution per pool entry.
+exactly when the preset is listed.  tibra and deeprepair-lite differ only
+in how they rank an entry's substitutions and pick its candidates, so
+their whole spaces are the same.
 """
 
 import pytest
 
-from minirepair.engine import navigate
+from minirepair.engine import edit_list, navigate
 from minirepair.presets import PRESET_NAMES, config_from_preset
 
 from conftest import bug_meta, corpus_bug_names, load_bug
@@ -22,7 +23,7 @@ ITERATIONS = {
     "jkali": 156,
     "jmutrepair": 89,
     "jgenprog": 1242,
-    "tibra": 1597,
+    "tibra": 1918,
     "deeprepair-lite": 1918,
     "cardumen": 2020,
 }
@@ -62,3 +63,15 @@ def test_space_sizes_per_preset(census):
     for (_, preset), (stats, _) in census.items():
         totals[preset] += stats.iterations
     assert totals == ITERATIONS
+
+
+def test_tibra_and_deeprepair_lite_spaces_are_equal(census):
+    """random-var plans every substitution that name-similarity ranks, so
+    on every bug both spaces hold the same candidates and patches."""
+    def space(bug, preset):
+        stats, solutions = census[bug, preset]
+        return stats.iterations, {edit_list(v.transformations) for v in solutions}
+
+    differing = [bug for bug in corpus_bug_names()
+                 if space(bug, "tibra") != space(bug, "deeprepair-lite")]
+    assert differing == []
