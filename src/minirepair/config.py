@@ -186,9 +186,10 @@ def apply_overrides(config: RunConfig, overrides: dict) -> RunConfig:
 
 
 def configure(base: RunConfig, *layers: dict) -> RunConfig:
-    """`base` with each layer of overrides applied in turn, then validated:
-    a later layer wins, and a None value keeps what is there."""
-    for layer in layers:
-        apply_overrides(base, layer)
+    """`base` with each layer of overrides applied in turn: a later layer
+    wins, and a None value keeps what is there.  The base and each layer's
+    result are validated, so a later layer never hides a bad value."""
     base.validate()
+    for layer in layers:
+        apply_overrides(base, layer).validate()
     return base

@@ -19,9 +19,9 @@ Sessions on one project object share what depends on the project alone
 point, printed in full when it is made, so a candidate is printed once per
 project and its tree is built only when a variant is materialized.  What
 they learn by running the suite is kept on its baseline spectrum
-(`validate.Baseline`): the suspiciousness ranking and modification points
-for each formula, cut-off and granularity, and the verdict memos
-(`VerdictMemo`) of edit lists, each stored the first time it runs, with
+(`validate.Baseline`): the modification points, each with its
+suspiciousness, for each formula, cut-off and granularity, and the verdict
+memos (`VerdictMemo`) of edit lists, each stored the first time it runs, with
 the results of refinement's full-suite runs (`validate.refine_patches`).
 Where a deep MiniLang recursion hits Python's RecursionError depends on
 the caller's stack, so a baseline is shared only by sessions constructed
@@ -119,8 +119,7 @@ class ProgramVariant:
     variant_id: int
     transformations: list[Transformation]
     generation_born: int
-    fitness: Optional[int] = None
-    dirty: bool = True
+    fitness: Optional[int] = None  # None until validated, and after a rejection
     discovery_iteration: Optional[int] = None
 
 
@@ -413,8 +412,8 @@ class RepairSession:
             raise NoFailingTests("no failing tests: nothing to repair")
         self.baseline_sources = self._shared("sources", lambda: print_sources(project))
 
-        # the ranking and its points depend on the spectrum and on these
-        # three fields alone, so sessions on the baseline share them
+        # the points depend on the spectrum and on these three fields
+        # alone, so sessions on the baseline share them
         key = (config.formula, config.max_suspicious, config.granularity)
         ranking = self.baseline.points.get(key)
         if ranking is None:
@@ -422,9 +421,9 @@ class RepairSession:
                                            config.max_suspicious)
             points = create_modification_points(project, suspicious, config.granularity)
             ranking = self.baseline.points[key] = (
-                suspicious, points, prefix_sums(p.suspiciousness for p in points)
+                points, prefix_sums(p.suspiciousness for p in points)
             )
-        self.suspicious, self.points, self._point_prefix = ranking
+        self.points, self._point_prefix = ranking
 
         self._scope = config.ingredient_scope or (
             "global" if config.operator_space == "r-expression" else "module"
@@ -808,7 +807,6 @@ class RepairSession:
         for _ in range(size):
             variant = self.new_variant([], 0)
             variant.fitness = self.baseline.failing_count
-            variant.dirty = False
             population.append(variant)
 
         while not self._stopped(1):
@@ -820,11 +818,10 @@ class RepairSession:
             for parent in sorted(population, key=lambda v: v.variant_id):
                 child = self.new_variant(parent.transformations, generation)
                 child.fitness = parent.fitness
-                child.dirty = False
                 if self.rng.points.random() < self.config.p_mut:
                     for t in self._mutations(1):
                         child.transformations.append(t)
-                        child.dirty = True
+                        child.fitness = None
                         produced_material = True
                         if parent.transformations:
                             # a new transformation is tried at most once per
@@ -854,12 +851,12 @@ class RepairSession:
             offspring.extend(crossed)
 
             for child in offspring:
-                if not child.dirty:
+                if child.fitness is not None:
                     continue
                 if self._stopped():
                     return
-                if self._validate(child, generation) is None:
-                    child.fitness = None  # scope-rejected offspring dies out
+                # a scope-rejected child keeps fitness None and dies out
+                self._validate(child, generation)
 
             pool = population + offspring
             pool.sort(

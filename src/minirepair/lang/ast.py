@@ -27,6 +27,17 @@ EXPRESSION_KINDS = frozenset(
 RELATIONAL_OPS = ("<", "<=", ">", ">=", "==", "!=")
 LOGICAL_OPS = ("&&", "||")
 
+# how tightly each binary operator binds, loosest first; every binary
+# operator is left-associative.  The parser climbs this table and the
+# printer parenthesizes by it.
+BINARY_PRECEDENCE = {
+    "||": 1,
+    "&&": 2,
+    "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
+    "+": 4, "-": 4,
+    "*": 5, "/": 5, "%": 5,
+}
+
 # the range of MiniLang's 64-bit signed int
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -78,6 +89,9 @@ FLOAT = Type("float")
 BOOL = Type("bool")
 STRING = Type("string")
 EMPTY_ARRAY = Type("empty-array")
+
+# the scalar type keywords and the types they name
+SCALAR_TYPES = {"int": INT, "float": FLOAT, "bool": BOOL, "string": STRING}
 
 
 def array_of(elem: Type) -> Type:
@@ -308,7 +322,7 @@ class SourceProject:
                 self._own_root(node, dup)
             else:
                 siblings = parent.children
-                siblings[_index_of(siblings, node)] = dup
+                siblings[index_of(siblings, node)] = dup
             self.nodes[nid] = dup
             owned.add(nid)
             parent = dup
@@ -317,7 +331,7 @@ class SourceProject:
     def _own_root(self, old: Node, new: Node) -> None:
         sf = self.functions[old.name][0]
         own = SourceFile(sf.path, sf.module, [new if fn is old else fn for fn in sf.functions])
-        self.files[_index_of(self.files, sf)] = own
+        self.files[index_of(self.files, sf)] = own
         for fn in own.functions:
             self.functions[fn.name] = (own, fn)
 
@@ -361,7 +375,7 @@ class SourceProject:
                 detached.extend(node.children)
 
 
-def _index_of(items: list, item) -> int:
+def index_of(items: list, item) -> int:
     """Position of `item` by identity (list.index compares by value)."""
     for i, other in enumerate(items):
         if other is item:

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from minirepair.lang.ast import MiniSyntaxError
+from minirepair.lang.ast import SCALAR_TYPES, MiniSyntaxError
 
 KEYWORDS = frozenset(
-    {"fn", "let", "if", "else", "while", "return", "true", "false",
-     "int", "float", "bool", "string"}
+    {"fn", "let", "if", "else", "while", "return", "true", "false", *SCALAR_TYPES}
 )
+
+# the character after a backslash in a string literal -> the one it stands for
+ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 
 _TWO_CHAR = ("->", "&&", "||", "==", "!=", "<=", ">=")
 _ONE_CHAR = "+-*/%<>!=(){}[],;:"
@@ -90,7 +92,7 @@ def tokenize(path: str, source: str) -> list[Token]:
                     if j + 1 >= n:
                         error("unterminated string literal")
                     esc = source[j + 1]
-                    mapped = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}.get(esc)
+                    mapped = ESCAPES.get(esc)
                     if mapped is None:
                         error(f"unknown escape sequence \\{esc}")
                     chars.append(mapped)

@@ -8,11 +8,9 @@ from __future__ import annotations
 import math
 
 from minirepair.lang.ast import (
-    BOOL,
-    FLOAT,
-    INT,
+    BINARY_PRECEDENCE,
     INT64_MAX,
-    STRING,
+    SCALAR_TYPES,
     MiniSyntaxError,
     Node,
     Type,
@@ -25,8 +23,9 @@ from minirepair.lang.lexer import Token, tokenize
 # Python's recursion limit.  Nesting counts the constructs open at a token:
 # blocks, expressions (each parenthesis, call argument, array element and
 # index opens one), prefix operators, `else if`s and array types; one
-# parenthesis level costs the parser about 14 Python frames.  The height
-# also bounds trees that nest without it, such as a long `a + b + ...`.
+# parenthesis level costs the parser 5 Python frames, and 6 when it is a
+# binary operator's operand, as in `x + (`.  The height also bounds trees
+# that nest without it, such as a long `a + b + ...`.
 MAX_NESTING = 32
 MAX_TREE_HEIGHT = 64  # nodes on the longest path from a function down
 
@@ -123,10 +122,9 @@ class _Parser:
             self.depth -= 1
             return array_of(inner)
         tok = self.expect("keyword")
-        mapping = {"int": INT, "float": FLOAT, "bool": BOOL, "string": STRING}
-        if tok.text not in mapping:
+        if tok.text not in SCALAR_TYPES:
             self.error(tok, f"expected a type, found {tok.text!r}")
-        return mapping[tok.text]
+        return SCALAR_TYPES[tok.text]
 
     def parse_block(self) -> Node:
         start = self.expect("op", "{")
@@ -213,36 +211,26 @@ class _Parser:
             node = node.children[0]
         return node.kind == "var-ref"
 
-    # -- expressions (precedence climbing) ----------------------------------
+    # -- expressions (precedence climbing over BINARY_PRECEDENCE) -----------
 
     def parse_expr(self) -> Node:
         self.enter(self.peek())
-        expr = self.parse_or()
+        expr = self.parse_binary(1)
         self.depth -= 1
         return expr
 
-    def _binary_chain(self, sub, ops: tuple[str, ...]) -> Node:
-        left = sub()
-        while self.peek().kind == "op" and self.peek().text in ops:
-            tok = self.advance()
-            right = sub()
+    def parse_binary(self, min_prec: int) -> Node:
+        """The longest chain of unary operands joined by binary operators
+        that bind at least as tightly as `min_prec`, grouped to the left."""
+        left = self.parse_unary()
+        while True:
+            tok = self.peek()
+            prec = BINARY_PRECEDENCE.get(tok.text, 0) if tok.kind == "op" else 0
+            if prec < min_prec:
+                return left
+            self.advance()
+            right = self.parse_binary(prec + 1)
             left = Node("binary-op", [left, right], op=tok.text, line=tok.line)
-        return left
-
-    def parse_or(self) -> Node:
-        return self._binary_chain(self.parse_and, ("||",))
-
-    def parse_and(self) -> Node:
-        return self._binary_chain(self.parse_cmp, ("&&",))
-
-    def parse_cmp(self) -> Node:
-        return self._binary_chain(self.parse_add, ("==", "!=", "<", "<=", ">", ">="))
-
-    def parse_add(self) -> Node:
-        return self._binary_chain(self.parse_mul, ("+", "-"))
-
-    def parse_mul(self) -> Node:
-        return self._binary_chain(self.parse_unary, ("*", "/", "%"))
 
     def parse_unary(self) -> Node:
         tok = self.peek()

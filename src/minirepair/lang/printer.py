@@ -8,19 +8,23 @@ tree, which is what lets unified diffs of printed sources serve as patches.
 
 from __future__ import annotations
 
-from minirepair.lang.ast import Node, SourceFile, SourceProject, UnknownNodeError
+from minirepair.lang.ast import (
+    BINARY_PRECEDENCE,
+    Node,
+    SourceFile,
+    SourceProject,
+    UnknownNodeError,
+)
+from minirepair.lang.lexer import ESCAPES
 
 _INDENT = "    "
 
-_BIN_PREC = {
-    "||": 1,
-    "&&": 2,
-    "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
-    "+": 4, "-": 4,
-    "*": 5, "/": 5, "%": 5,
-}
+# prefix and postfix operators bind tighter than every binary operator
 _UNARY_PREC = 6
 _POSTFIX_PREC = 7
+
+# a character of a string value -> its escape sequence (lexer.ESCAPES inverted)
+_ENCODE = {ch: "\\" + letter for letter, ch in ESCAPES.items()}
 
 
 def format_value(value) -> str:
@@ -32,12 +36,7 @@ def format_value(value) -> str:
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, str):
-        out = ['"']
-        escapes = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
-        for ch in value:
-            out.append(escapes.get(ch, ch))
-        out.append('"')
-        return "".join(out)
+        return '"' + "".join(_ENCODE.get(ch, ch) for ch in value) + '"'
     raise ValueError(f"not a printable literal: {value!r}")
 
 
@@ -60,7 +59,7 @@ def expr_str(node: Node, min_prec: int = 0) -> str:
         text = node.op + inner
         return f"({text})" if _UNARY_PREC < min_prec else text
     if kind == "binary-op":
-        prec = _BIN_PREC[node.op]
+        prec = BINARY_PRECEDENCE[node.op]
         left = expr_str(node.children[0], prec)
         right = expr_str(node.children[1], prec + 1)
         text = f"{left} {node.op} {right}"

@@ -38,6 +38,7 @@ from minirepair.lang.ast import (
     Node,
     SourceProject,
     Type,
+    index_of,
 )
 from minirepair.lang.types import free_refs
 
@@ -71,20 +72,14 @@ def _parent_block(project: SourceProject, node: Node) -> Node | None:
 
 
 def _replace_child(parent: Node, target: Node, replacement: Node) -> None:
-    for i, child in enumerate(parent.children):
-        if child is target:
-            parent.children[i] = replacement
-            return
-    raise ValueError("target is not a child of its recorded parent")
+    parent.children[index_of(parent.children, target)] = replacement
 
 
 def _decl_used_later(block: Node, decl: Node) -> bool:
     """True when a var-decl binds a name that a later statement of its
     block reads: the checker's binding rule (`types.free_refs`)."""
-    siblings = block.children
-    # by identity: Node is a dataclass, so list.index would compare by value
-    start = next(i for i, stmt in enumerate(siblings) if stmt is decl) + 1
-    return any(ref.name == decl.name for stmt in siblings[start:] for ref in free_refs(stmt))
+    later = block.children[index_of(block.children, decl) + 1:]
+    return any(ref.name == decl.name for stmt in later for ref in free_refs(stmt))
 
 
 def default_return_node(ret: Type | None) -> Node:
@@ -130,8 +125,7 @@ class RemoveStatement(RepairOperator):
 
     def mutate(self, project, target, ingredient):
         siblings = _parent_block(project, target).children
-        # by identity: Node is a dataclass, so list.remove would compare by value
-        del siblings[next(i for i, stmt in enumerate(siblings) if stmt is target)]
+        del siblings[index_of(siblings, target)]
 
 
 class InsertBefore(RepairOperator):

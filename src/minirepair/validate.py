@@ -50,8 +50,9 @@ class Baseline:
     matrix: SpectrumMatrix
     failing: list[TestCase]
     passing: list[TestCase]
-    # what the engine derives from the spectrum alone: its suspiciousness
-    # ranking and modification points, by (formula, cut-off, granularity)
+    # what the engine derives from the spectrum alone: its modification
+    # points and their running suspiciousness sums, by (formula, cut-off,
+    # granularity)
     points: dict = field(default_factory=dict, repr=False)
     # the sessions' verdict memos (`engine.VerdictMemo`), by (recursion
     # limit, stack position of the caller of `RepairSession.run`)

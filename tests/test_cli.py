@@ -1,10 +1,15 @@
 """Command-line behavior: exit codes, artifacts, bench CSV."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import minirepair
 from minirepair import cli
 from minirepair.cli import (
     BENCH_FIELDS,
@@ -320,6 +325,24 @@ def test_config_file_unknown_mode_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'nosuch'" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+# each value was once hidden by a later layer that sets the same key:
+# abs-sign's bug.json step budget, and the --seed flag
+@pytest.mark.parametrize("text, flags, message", [
+    ("mode = jmutrepair\nstep_budget = -1.5\n", (),
+     "step_budget must be an integer, got -1.5"),
+    ("seed = -1\n", ("--mode", "jmutrepair", "--seed", "1"),
+     "seed must be in [0, 2**64), got -1"),
+], ids=["step-budget-under-bug-json", "seed-under-flag"])
+def test_bad_config_value_under_a_later_layer_exits_one(tmp_path, capsys, text, flags, message):
+    config_file = tmp_path / "run.conf"
+    config_file.write_text(text)
+    code = run_cli("repair", str(CORPUS / "abs-sign"), "--config", str(config_file), *flags,
+                   "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -685,4 +708,22 @@ def test_bad_json_exits_one_without_traceback(tmp_path, capsys, name, text, mess
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_input_exits_one_from_a_separate_process(tmp_path):
+    """The process boundary of the cases above: `python -m minirepair.cli`
+    itself exits 1 with an `error:` line and no traceback."""
+    src = Path(minirepair.__file__).resolve().parent.parent
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    project = tmp_path / "nosuch"
+    done = subprocess.run(
+        [sys.executable, "-m", "minirepair.cli", "repair", str(project), "--mode", "jkali",
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 1
+    assert done.stderr.splitlines()[0] == f"error: {project}: no such directory"
+    assert "Traceback" not in done.stderr
     assert not (tmp_path / "out").exists()

@@ -345,10 +345,9 @@ def test_trial_and_final_results_never_answer_each_other(monkeypatch):
 
 
 def ranked_points(session):
-    """What a session ranks from the spectrum, with every point's env."""
-    return (session.suspicious,
-            [(p, p.env) for p in session.points],
-            session._point_prefix)
+    """What a session ranks from the spectrum, with every point's env: each
+    point carries its suspiciousness, and the cut-off decides which exist."""
+    return [(p, p.env) for p in session.points], session._point_prefix
 
 
 def test_sessions_that_differ_in_ranking_fields_get_fresh_points():

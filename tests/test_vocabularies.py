@@ -1,7 +1,8 @@
 """The documented vocabularies agree with their one definition in code:
 the enumerated config keys with the keys of the extension-point tables and
-what `RunConfig.validate` accepts, and the `expect_error` kinds with the
-kinds the interpreter raises."""
+what `RunConfig.validate` accepts, the `expect_error` kinds with the kinds
+the interpreter raises, and the grammar's binary operators, escapes, type
+names and keywords with the tables the lexer and parser read."""
 
 import ast
 import re
@@ -12,6 +13,8 @@ import pytest
 from minirepair import engine, faultloc, ingredients, operators
 from minirepair.config import CHOICES, ConfigError, RunConfig
 from minirepair.lang import interp
+from minirepair.lang.ast import BINARY_PRECEDENCE, SCALAR_TYPES
+from minirepair.lang.lexer import ESCAPES, KEYWORDS
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -87,3 +90,48 @@ def test_every_kind_the_interpreter_raises_is_an_error_kind():
             kinds.append(node.args[0])
         raised.update(k.value for k in kinds if isinstance(k, ast.Constant))
     assert raised == interp.ERROR_KINDS
+
+
+def grammar_rules() -> dict[str, str]:
+    """rule name -> right-hand side, from the EBNF block of docs/minilang.md."""
+    text = (DOCS / "minilang.md").read_text(encoding="utf-8")
+    block = text.split("```ebnf\n", 1)[1].split("```", 1)[0]
+    return dict(re.findall(r"^(\w+)\s+=\s+(.*?)\s;", block, re.M | re.S))
+
+
+def terminals(text: str) -> list[str]:
+    """The quoted terminals of an EBNF fragment, unescaped."""
+    return [ast.literal_eval(t) for t in re.findall(r'"(?:[^"\\]|\\.)*"|\'[^\']*\'', text)]
+
+
+def test_grammar_binary_levels_are_the_precedence_table():
+    rules = grammar_rules()
+    levels = []
+    name = rules["expr"]
+    # each level reads `name = operand { ( ops ) operand }`, its operand the next level
+    while (match := re.fullmatch(r"(\w+) \{ (.*) \1 \}", rules[name])):
+        levels.append(tuple(terminals(match.group(2))))
+        name = match.group(1)
+    assert name == "unary"
+    table = {}
+    for op, prec in BINARY_PRECEDENCE.items():
+        table.setdefault(prec, []).append(op)
+    assert levels == [tuple(table[prec]) for prec in sorted(table)]
+
+
+def test_grammar_escapes_are_the_lexers_escapes():
+    rule = grammar_rules()["escape"]
+    assert rule.startswith('"\\\\" (') and rule.endswith(")")
+    escaped = terminals(rule.split("(", 1)[1])
+    assert sorted(escaped) == sorted(ESCAPES) and len(escaped) == len(ESCAPES)
+
+
+def test_grammar_types_are_the_scalar_types():
+    assert grammar_rules()["type"] == " | ".join(
+        [f'"{name}"' for name in SCALAR_TYPES] + ['"[" type "]"'])
+
+
+def test_keywords_line_is_the_lexers_keywords():
+    text = (DOCS / "minilang.md").read_text(encoding="utf-8")
+    words = re.search(r"^Keywords: `([^`]*)`", text, re.M).group(1).split()
+    assert len(words) == len(set(words)) and set(words) == KEYWORDS
