@@ -36,8 +36,10 @@ from minirepair.config import (
     configure,
     parse_config_file,
 )
-from minirepair.engine import RepairOutcome, navigate
-from minirepair.faultloc import NoFailingTests, SuiteError, TestCase, load_suite
+from minirepair.engine import navigate
+from minirepair.faultloc import (
+    NoFailingTests, SuiteError, TestCase, load_suite, read_json, read_text,
+)
 from minirepair.lang.ast import ProjectError, SourceProject, parse_project
 from minirepair.lang.types import TypeCheckError, cached_types
 from minirepair.presets import PRESET_NAMES, preset
@@ -57,14 +59,16 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-class ProjectLoadError(Exception):
-    pass
+class InputError(Exception):
+    """Bad input that no other module's error names: a project or corpus
+    path, bug.json, a bench list option or an output path."""
 
 
-# what reading bad input raises: each ends in "error: ..." and exit code 1
+# what bad input raises: `main` ends each in "error: ..." and exit code 1
 # (OSError: a config, source, suite or bug.json file that cannot be read)
 INPUT_ERRORS = (
-    ProjectLoadError, ProjectError, TypeCheckError, SuiteError, ConfigError, ValueError, OSError
+    InputError, ProjectError, TypeCheckError, SuiteError, ConfigError, NoFailingTests,
+    ValueError, OSError,
 )
 
 
@@ -73,9 +77,9 @@ def _directory(path: str | Path) -> Path:
     of a corpus, so that both get the same error."""
     root = Path(path)
     if not root.exists():
-        raise ProjectLoadError(f"{root}: no such directory")
+        raise InputError(f"{root}: no such directory")
     if not root.is_dir():
-        raise ProjectLoadError(f"{root}: not a directory")
+        raise InputError(f"{root}: not a directory")
     return root
 
 
@@ -87,38 +91,29 @@ def load_project_dir(project_dir: str | Path) -> tuple[SourceProject, list[TestC
     root = _directory(project_dir)
     src_root = root / "src"
     if not src_root.is_dir():
-        raise ProjectLoadError(f"{root}: missing src/ directory")
+        raise InputError(f"{root}: missing src/ directory")
     files = []
     for path in sorted(src_root.rglob("*.mini")):
-        rel = path.relative_to(src_root).as_posix()
-        try:
-            files.append((rel, path.read_text(encoding="utf-8")))
-        except UnicodeDecodeError as exc:
-            raise ProjectLoadError(f"{path}: {exc}") from None
+        files.append((path.relative_to(src_root).as_posix(), read_text(path, InputError)))
     if not files:
-        raise ProjectLoadError(f"{src_root}: no .mini files")
+        raise InputError(f"{src_root}: no .mini files")
     project = parse_project(files)
     cached_types(project)  # raises TypeCheckError; the first session reuses the result
 
     tests_path = root / "tests.json"
     if not tests_path.is_file():
-        raise ProjectLoadError(f"{root}: missing tests.json")
+        raise InputError(f"{root}: missing tests.json")
     suite = load_suite(tests_path)
 
     meta = {}
     meta_path = root / "bug.json"
     if meta_path.is_file():
-        try:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # bad JSON or UTF-8, or an int of over 4,300 digits
-            raise ProjectLoadError(f"{meta_path}: invalid JSON: {exc}") from None
-        except RecursionError:
-            raise ProjectLoadError(f"{meta_path}: invalid JSON: nested too deeply") from None
+        meta = read_json(meta_path, InputError)
         if not isinstance(meta, dict):
-            raise ProjectLoadError(f"{meta_path}: expected a JSON object")
+            raise InputError(f"{meta_path}: expected a JSON object")
         budget = meta.get("step_budget")
         if "step_budget" in meta and (type(budget) is not int or budget < 1):
-            raise ProjectLoadError(
+            raise InputError(
                 f"{meta_path}: step_budget must be a positive integer, got {budget!r}"
             )
     return project, suite, meta
@@ -140,38 +135,25 @@ def build_config(args, meta: dict | None = None) -> RunConfig:
     return configure(base, file_values, budget, _flags(args))
 
 
-def write_report(outcome: RepairOutcome, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report = json.dumps(outcome.report_dict(), indent=2, sort_keys=True) + "\n"
-    (out_dir / "report.json").write_text(report, encoding="utf-8")
-    for patch in outcome.patches:
-        name = f"patch-{patch.discovery_order:03d}.patch"
-        (out_dir / name).write_text(patch.diff_text, encoding="utf-8")
-
-
-def _output_error(exc: OSError, out_dir: Path) -> int:
-    """Report an output file or directory that cannot be written."""
-    print(f"error: {exc.filename or out_dir}: {exc.strerror or exc}", file=sys.stderr)
-    return 1
+def _write_files(out_dir: Path, texts: dict[str, str]) -> None:
+    """Write each text under its file name in `out_dir`, made if missing;
+    an InputError names a file or directory that cannot be written."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            (out_dir / name).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"{exc.filename or out_dir}: {exc.strerror or exc}") from None
 
 
 def cmd_repair(args) -> int:
-    try:
-        project, suite, meta = load_project_dir(args.project_dir)
-        config = build_config(args, meta)
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        outcome = navigate(project, suite, config)
-    except NoFailingTests as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    project, suite, meta = load_project_dir(args.project_dir)
+    outcome = navigate(project, suite, build_config(args, meta))
     out_dir = Path(args.out)
-    try:
-        write_report(outcome, out_dir)
-    except OSError as exc:
-        return _output_error(exc, out_dir)
+    texts = {"report.json": json.dumps(outcome.report_dict(), indent=2, sort_keys=True) + "\n"}
+    for patch in outcome.patches:
+        texts[f"patch-{patch.discovery_order:03d}.patch"] = patch.diff_text
+    _write_files(out_dir, texts)
     found = len(outcome.patches)
     log.info("stop=%s patches=%d validated=%d", outcome.stats.stop_reason,
              found, outcome.stats.validated)
@@ -255,41 +237,30 @@ def summary_csv(rows: list[dict]) -> str:
     return buffer.getvalue()
 
 
-def cmd_bench(args) -> int:
+def _items(option: str, value: str, read=str) -> list:
+    """The items of the comma list `value` of `option`, each read by `read`
+    (`int` for seeds, which then compare as integers); an InputError for an
+    item that `read` refuses, an empty item or a repeated one."""
     try:
-        corpus = _directory(args.corpus_dir)
-    except ProjectLoadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    bugs = discover_bugs(corpus) if args.bugs is None else args.bugs.split(",")
-    modes = args.modes.split(",")
-    for option, items in (("--modes", modes), ("--bugs", bugs)):
-        if "" in items:
-            print(f"error: {option} has an empty item", file=sys.stderr)
-            return 1
-        repeated = next((item for i, item in enumerate(items) if item in items[:i]), None)
-        if repeated is not None:
-            print(f"error: {option} repeats {repeated!r}", file=sys.stderr)
-            return 1
-    try:
-        seeds = [int(s) for s in args.seeds.split(",")]
+        items = [read(item) for item in value.split(",")]
     except ValueError:
-        print(f"error: --seeds must be comma-separated integers, got {args.seeds!r}",
-              file=sys.stderr)
-        return 1
-    try:
-        pairs = [(bug, mode) for bug in bugs for mode in modes]
-        rows = bench_run(corpus, pairs, seeds, _flags(args))
-    except (*INPUT_ERRORS, NoFailingTests) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise InputError(f"{option} must be comma-separated integers, got {value!r}") from None
+    if "" in items:
+        raise InputError(f"{option} has an empty item")
+    repeated = next((item for i, item in enumerate(items) if item in items[:i]), None)
+    if repeated is not None:
+        raise InputError(f"{option} repeats {repeated!r}")
+    return items
+
+
+def cmd_bench(args) -> int:
+    corpus = _directory(args.corpus_dir)
+    modes = _items("--modes", args.modes)
+    bugs = discover_bugs(corpus) if args.bugs is None else _items("--bugs", args.bugs)
+    seeds = _items("--seeds", args.seeds, int)
+    rows = bench_run(corpus, [(bug, mode) for bug in bugs for mode in modes], seeds, _flags(args))
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "bench.csv").write_text(rows_to_csv(rows), encoding="utf-8")
-        (out_dir / "summary.csv").write_text(summary_csv(rows), encoding="utf-8")
-    except OSError as exc:
-        return _output_error(exc, out_dir)
+    _write_files(out_dir, {"bench.csv": rows_to_csv(rows), "summary.csv": summary_csv(rows)})
     repaired = sum(1 for r in rows if r["repaired"] == "yes")
     print(f"{len(rows)} runs, {repaired} repaired; CSV in {out_dir}")
     return 0
@@ -335,7 +306,11 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

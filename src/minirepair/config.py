@@ -157,11 +157,7 @@ def _coerce(raw: str):
 def parse_config_file(path: str | Path) -> dict:
     """Flat key = value pairs; later keys override earlier ones."""
     values: dict = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(faultloc.read_text(path, ConfigError).splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

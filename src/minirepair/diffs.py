@@ -32,16 +32,6 @@ def make_file_diff(path: str, before: str, after: str) -> str:
     return "".join(lines)
 
 
-def make_project_diff(before: dict[str, str], after: dict[str, str]) -> str:
-    """Concatenated per-file diffs, in path order."""
-    chunks = []
-    for path in sorted(set(before) | set(after)):
-        chunk = make_file_diff(path, before.get(path, ""), after.get(path, ""))
-        if chunk:
-            chunks.append(chunk)
-    return "".join(chunks)
-
-
 def _split_file_sections(diff_text: str) -> list[tuple[str, list[str]]]:
     sections: list[tuple[str, list[str]]] = []
     current: list[str] | None = None
@@ -110,7 +100,7 @@ def apply_file_diff(body_lines: list[str], text: str) -> str:
 
 
 def apply_unified_diff(diff_text: str, sources: dict[str, str]) -> dict[str, str]:
-    """Apply a diff produced by make_project_diff to a {path: text} map."""
+    """Apply a diff of concatenated `make_file_diff`s to a {path: text} map."""
     patched = dict(sources)
     for path, body in _split_file_sections(diff_text):
         if path not in patched:

@@ -68,7 +68,7 @@ from minirepair.operators import (
     operator_space,
 )
 from minirepair.rng import RngStreams, SplitMix64, prefix_sums
-from minirepair.validate import Baseline, fitness, refine_patches, validate_variant
+from minirepair.validate import Baseline, edit_list, fitness, refine_patches, validate_variant
 
 if TYPE_CHECKING:
     from minirepair.config import RunConfig
@@ -302,11 +302,6 @@ def stack_position(frame) -> tuple:
     return tuple(chain)
 
 
-def edit_list(transformations) -> tuple:
-    """The edits of a transformation list, in order (`Transformation.edit`)."""
-    return tuple(t.edit for t in transformations)
-
-
 REJECTED = -1  # verdict memo value of a variant the type gate rejects
 ID_BITS = 21  # width of one edit's id in the key of an edit list
 
@@ -400,7 +395,7 @@ class RepairSession:
 
         # the spectrum of the suite, shared by the sessions constructed at
         # this stack position; run_suite stays one frame below __init__
-        baselines = self._shared("baselines", dict)
+        baselines = project.memo("baselines", dict)
         key = (tuple(map(repr, self.suite)), config.step_budget, sys.getrecursionlimit(),
                stack_position(sys._getframe(1)))
         self.baseline = baselines.get(key)
@@ -410,7 +405,7 @@ class RepairSession:
         matrix = self.baseline.matrix
         if matrix.total_failing == 0:
             raise NoFailingTests("no failing tests: nothing to repair")
-        self.baseline_sources = self._shared("sources", lambda: print_sources(project))
+        self.baseline_sources = project.memo("sources", lambda: print_sources(project))
 
         # the points depend on the spectrum and on these three fields
         # alone, so sessions on the baseline share them
@@ -444,39 +439,28 @@ class RepairSession:
 
     # -- lazy ingredient machinery ------------------------------------------
 
-    def _shared(self, key, build):
-        """The project's analysis under `key`, built on first use by any
-        session.  It depends on the project alone, which no session
-        modifies; sessions only read it, except that they add baselines,
-        with what running the suite taught them (`validate.Baseline`),
-        under "baselines", and whole candidate plans under "plans"."""
-        analysis = self.project.analysis
-        if key not in analysis:
-            analysis[key] = build()
-        return analysis[key]
-
     def ingredient_pool(self) -> IngredientPool:
         """The session's pool; `pool_builds` counts that the session used
         one, whichever session built it."""
         if self._pool is None:
             self.stats.pool_builds += 1
             if self.config.operator_space == "r-expression":
-                self._pool = self._shared(
+                self._pool = self.project.memo(
                     ("template-pool", self._scope),
                     lambda: mine_templates(self.project, self.types, self._scope),
                 )
             else:
-                self._pool = self._shared(
+                self._pool = self.project.memo(
                     ("statement-pool", self._scope),
                     lambda: build_pool(self.project, self._scope, "statement", self.types),
                 )
         return self._pool
 
     def similarity_index(self) -> FunctionSimilarity:
-        return self._shared("similarity", lambda: FunctionSimilarity(self.project))
+        return self.project.memo("similarity", lambda: FunctionSimilarity(self.project))
 
     def name_model(self):
-        return self._shared("name-model", lambda: build_name_model(self.project))
+        return self.project.memo("name-model", lambda: build_name_model(self.project))
 
     # -- transformation creation ----------------------------------------------
 
@@ -603,7 +587,7 @@ class RepairSession:
         variable is out of scope, every point shares the plan
         `Ingredient.as_is`."""
         strategy = self._ingredient_transform
-        plans = self._shared(("plans", strategy), dict)
+        plans = self.project.memo(("plans", strategy), dict)
         # by the entry's identity: equal printed forms from other scopes can
         # differ in type.  The plan holds the entry, so the id stays unique.
         key = (point.node_id, id(ingredient))
@@ -695,11 +679,6 @@ class RepairSession:
                 self.stats.validations_at_first_patch = self.stats.validated
                 self.stats.iteration_at_first_patch = iteration
         return variant.fitness
-
-    def memo_key(self, transformations) -> Optional[int]:
-        """The key of the edit list of `transformations` in the session's
-        verdict memo, or None if it has none."""
-        return self.verdicts.key(edit_list(transformations))
 
     # -- search steps ---------------------------------------------------------------
 

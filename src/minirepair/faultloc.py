@@ -13,8 +13,10 @@ covered by no test at all are omitted from the ranking.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Sequence
 
 from minirepair.lang.ast import INT64_MAX, INT64_MIN, SourceProject
@@ -266,14 +268,25 @@ def suite_from_json(doc) -> list[TestCase]:
     return suite
 
 
-def load_suite(path) -> list[TestCase]:
-    import json
-    from pathlib import Path
-
+def read_text(path, error) -> str:
+    """The text of the UTF-8 file at `path`; `error` (an exception class),
+    naming the file, when the bytes are not UTF-8."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, or an int of over 4,300 digits
-        raise SuiteError(f"{path}: invalid JSON: {exc}") from exc
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {exc}") from None
+
+
+def read_json(path, error):
+    """The JSON document in the file at `path`; `error` (an exception
+    class), naming the file, when it is not UTF-8 JSON."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad JSON or UTF-8, or an int of over 4,300 digits
+        raise error(f"{path}: invalid JSON: {exc}") from None
     except RecursionError:
-        raise SuiteError(f"{path}: invalid JSON: nested too deeply") from None
-    return suite_from_json(doc)
+        raise error(f"{path}: invalid JSON: nested too deeply") from None
+
+
+def load_suite(path) -> list[TestCase]:
+    return suite_from_json(read_json(path, SuiteError))

@@ -219,6 +219,17 @@ class SourceProject:
         self.max_id = 0
         self.reindex()
 
+    def memo(self, key, build):
+        """The analysis under `key`, made by `build()` on first use.  An
+        entry depends on the project alone; its users only read it, except
+        that repair sessions add to the baselines of suites
+        (`validate.Baseline`, under "baselines"), with what running a suite
+        taught them, and to the candidate plans (under "plans")."""
+        analysis = self.analysis
+        if key not in analysis:
+            analysis[key] = build()
+        return analysis[key]
+
     def reindex(self) -> None:
         """Rebuild the node, parent and function indexes; assigns fresh ids,
         in project pre-order, to any node with node_id == -1.  A parsed

@@ -23,9 +23,10 @@ from minirepair.lang.lexer import Token, tokenize
 # Python's recursion limit.  Nesting counts the constructs open at a token:
 # blocks, expressions (each parenthesis, call argument, array element and
 # index opens one), prefix operators, `else if`s and array types; one
-# parenthesis level costs the parser 5 Python frames, and 6 when it is a
-# binary operator's operand, as in `x + (`.  The height also bounds trees
-# that nest without it, such as a long `a + b + ...`.
+# parenthesis level costs the parser 5 Python frames, one call or array
+# level 6 (`parse_list`), and each one more when it is a binary operator's
+# operand, as in `x + (`.  The height also bounds trees that nest without
+# it, such as a long `a + b + ...`.
 MAX_NESTING = 32
 MAX_TREE_HEIGHT = 64  # nodes on the longest path from a function down
 
@@ -96,15 +97,7 @@ class _Parser:
         start = self.expect("keyword", "fn")
         name = self.expect("ident").text
         self.expect("op", "(")
-        params: list[tuple[str, Type]] = []
-        if not self.check("op", ")"):
-            while True:
-                pname = self.expect("ident").text
-                self.expect("op", ":")
-                params.append((pname, self.parse_type()))
-                if not self.accept("op", ","):
-                    break
-        self.expect("op", ")")
+        params = self.parse_list(")", self.parse_param)
         ret = None
         if self.accept("op", "->"):
             ret = self.parse_type()
@@ -112,6 +105,22 @@ class _Parser:
         function = Node("function", [body], name=name, params=params, ret=ret, line=start.line)
         self.check_height(function)
         return function
+
+    def parse_param(self) -> tuple[str, Type]:
+        name = self.expect("ident").text
+        self.expect("op", ":")
+        return name, self.parse_type()
+
+    def parse_list(self, close: str, item) -> list:
+        """The items that `item` parses, separated by commas, up to the
+        operator `close`, which it consumes."""
+        items = []
+        if not self.check("op", close):
+            items.append(item())
+            while self.accept("op", ","):
+                items.append(item())
+        self.expect("op", close)
+        return items
 
     def parse_type(self) -> Type:
         tok = self.accept("op", "[")
@@ -277,26 +286,13 @@ class _Parser:
             return Node("literal", value=(tok.text == "true"), line=tok.line)
         if tok.kind == "op" and tok.text == "[":
             self.advance()
-            elems = []
-            if not self.check("op", "]"):
-                while True:
-                    elems.append(self.parse_expr())
-                    if not self.accept("op", ","):
-                        break
-            self.expect("op", "]")
-            return Node("literal", elems, op="array", line=tok.line)
+            return Node("literal", self.parse_list("]", self.parse_expr), op="array",
+                        line=tok.line)
         if tok.kind == "ident":
             self.advance()
-            if self.check("op", "("):
-                self.advance()
-                args = []
-                if not self.check("op", ")"):
-                    while True:
-                        args.append(self.parse_expr())
-                        if not self.accept("op", ","):
-                            break
-                self.expect("op", ")")
-                return Node("call", args, name=tok.text, line=tok.line)
+            if self.accept("op", "("):
+                return Node("call", self.parse_list(")", self.parse_expr), name=tok.text,
+                            line=tok.line)
             return Node("var-ref", name=tok.text, line=tok.line)
         if tok.kind == "op" and tok.text == "(":
             self.advance()

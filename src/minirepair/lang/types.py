@@ -382,10 +382,7 @@ def env_at(project: SourceProject, node_id: int) -> dict[str, Type]:
 
 def cached_types(project: SourceProject) -> ProjectTypes:
     """check_project, memoized in the project's analysis memo."""
-    types = project.analysis.get("types")
-    if types is None:
-        types = project.analysis["types"] = check_project(project)
-    return types
+    return project.memo("types", lambda: check_project(project))
 
 
 def free_refs(node: Node) -> list[Node]:

@@ -156,14 +156,7 @@ class InsertReturnBefore(RepairOperator):
     name = "insert-return-before"
 
     def applicable(self, project, node):
-        if not node.is_statement() or _parent_block(project, node) is None:
-            return False
-        ret = project.enclosing_function(node.node_id).ret
-        try:
-            default_return_node(ret)
-        except ValueError:
-            return False
-        return True
+        return node.is_statement() and _parent_block(project, node) is not None
 
     def mutate(self, project, target, ingredient):
         ret = project.enclosing_function(target.node_id).ret

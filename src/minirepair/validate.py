@@ -37,6 +37,12 @@ class ValidationResult:
     steps: int
 
 
+def edit_list(transformations) -> tuple:
+    """The edits of a transformation list, in order (`engine.Transformation.edit`):
+    the key of the list in a verdict memo."""
+    return tuple(t.edit for t in transformations)
+
+
 def fitness(result: ValidationResult) -> int:
     """Number of failing tests; 0 marks a test-suite-adequate patch."""
     return result.failing
@@ -146,7 +152,8 @@ def refine_patches(session) -> list[Patch]:
     """Minimize, re-validate, and render every solution of a repair session
     in chronological discovery order, the order of `session.solutions`.
     `session` provides the solutions, the materialize/validate plumbing
-    and the verdict memo with its keys (see engine.RepairSession).
+    and the verdict memo, which keys a list by its transformations' edits
+    (see engine.RepairSession).
 
     Each full-suite run is looked up in the memo first, trials and finals
     apart; a hit adds the stored steps to the session's `time_steps`, as
@@ -157,7 +164,7 @@ def refine_patches(session) -> list[Patch]:
     for variant in session.solutions:
 
         def revalidate(transformations) -> int:
-            key = session.memo_key(transformations)
+            key = memo.key(edit_list(transformations))
             trial = memo.trials.get(key)
             if trial is None:
                 project = session.materialize(transformations)
@@ -173,7 +180,7 @@ def refine_patches(session) -> list[Patch]:
             return trial[0]
 
         kept = minimize_transformations(variant.transformations, revalidate)
-        key = session.memo_key(kept)
+        key = memo.key(edit_list(kept))
         final = memo.finals.get(key)
         if final is None:
             final_project = session.materialize(kept)

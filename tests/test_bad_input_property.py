@@ -11,6 +11,12 @@ bytes that are not UTF-8.  `cli.main` must then return 0 (patches found),
 that loads (exit 0 or 2) is repaired a second time into another directory,
 which must receive the same exit code, stderr and bytes: `report.json`
 and every patch.
+
+The last examples run `bench` with `--modes`, `--bugs` and `--seeds` lists
+that may hold empty, repeated, unknown or non-integer items, or seeds
+outside [0, 2**64): it must exit 1 with an `error:` line and write nothing
+exactly when some item is refused or repeats, and else write one row per
+(bug, mode, seed).
 """
 
 import contextlib
@@ -151,3 +157,62 @@ def test_corrupted_config_exits_cleanly(lines):
         config = Path(tmp) / "run.cfg"
         config.write_bytes(BASE_CONFIG + b"".join(lines))
         exits_cleanly(BUG, Path(tmp), "--config", str(config))
+
+
+# -- bench's list options ----------------------------------------------------------
+
+# each item's value, or None for an item the option refuses: an empty,
+# unknown or non-integer item, or a seed outside [0, 2**64).  Items of one
+# option with equal values repeat each other, so `1` and `01` do.
+MODE_ITEMS = {"jkali": "jkali", "jmutrepair": "jmutrepair", "": None, "nosuch": None,
+              "JKALI": None, "custom": None}
+BUG_ITEMS = {"abs-sign": "abs-sign", "neg-guard": "neg-guard", "": None, "nosuch": None,
+             ".": None, "abs-sign/src": None}
+SEED_ITEMS = {"1": 1, "01": 1, "+1": 1, "2": 2, "0": 0, str(2**64 - 1): 2**64 - 1, "": None,
+              "x": None, "1.0": None, "-1": None, str(2**64): None, str(2**70): None}
+
+
+def item_list(items, corrupt):
+    """Comma lists of `items`; unless `corrupt`, of accepted, distinct ones."""
+    if not corrupt:
+        items = {item: value for item, value in items.items() if value is not None}
+    return st.lists(st.sampled_from(sorted(items)), min_size=1, max_size=3,
+                    unique_by=None if corrupt else items.get).map(",".join)
+
+
+# the option to corrupt, if any, then the three lists
+bench_lists = st.sampled_from([None, "modes", "bugs", "seeds"]).flatmap(
+    lambda corrupt: st.tuples(item_list(MODE_ITEMS, corrupt == "modes"),
+                              item_list(BUG_ITEMS, corrupt == "bugs"),
+                              item_list(SEED_ITEMS, corrupt == "seeds"))
+)
+
+
+def accepted(value, items):
+    """Whether every item of `value` is accepted and no two repeat."""
+    values = [items[item] for item in value.split(",")]
+    return None not in values and len(set(values)) == len(values)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(lists=bench_lists)
+def test_corrupted_bench_lists_exit_cleanly(lists):
+    modes, bugs, seeds = lists
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            # `--option=value`, so that a value starting with "-" stays a value
+            code = cli.main(["bench", str(CORPUS), f"--modes={modes}", f"--bugs={bugs}",
+                             f"--seeds={seeds}", "--max-iterations=3", f"--out={out}"])
+        err = stderr.getvalue()
+        assert "Traceback" not in err
+        if all(accepted(value, items) for value, items in
+               ((modes, MODE_ITEMS), (bugs, BUG_ITEMS), (seeds, SEED_ITEMS))):
+            assert (code, err) == (0, "")
+            rows = (out / "bench.csv").read_text().splitlines()[1:]
+            assert len(rows) == len(set(rows)) == (
+                len(modes.split(",")) * len(bugs.split(",")) * len(seeds.split(",")))
+        else:
+            assert code == 1 and err.startswith("error: "), (code, err)
+            assert not out.exists()

@@ -360,6 +360,17 @@ def test_bench_repeated_item_exits_one(tmp_path, capsys, modes, bugs, message):
     assert not (tmp_path / "bench").exists()
 
 
+# a repeated seed once ran twice and wrote two equal rows; seeds compare
+# as integers
+@pytest.mark.parametrize("seeds", ["1,1", "1,01"])
+def test_bench_repeated_seed_exits_one(tmp_path, capsys, seeds):
+    code = run_cli("bench", str(CORPUS), "--modes", "jkali", "--bugs", "abs-sign",
+                   "--seeds", seeds, "--out", str(tmp_path / "bench"))
+    assert code == 1
+    assert capsys.readouterr().err == "error: --seeds repeats 1\n"
+    assert not (tmp_path / "bench").exists()
+
+
 @pytest.mark.parametrize("modes, bugs, message", [
     ("jkali,", "abs-sign", "--modes has an empty item"),
     ("", "abs-sign", "--modes has an empty item"),

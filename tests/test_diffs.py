@@ -4,14 +4,15 @@ import string
 
 from hypothesis import given, settings, strategies as st
 
-from minirepair.diffs import (
-    PatchApplyError,
-    apply_unified_diff,
-    make_file_diff,
-    make_project_diff,
-)
+from minirepair.diffs import PatchApplyError, apply_unified_diff, make_file_diff
 
 import pytest
+
+
+def make_project_diff(before: dict[str, str], after: dict[str, str]) -> str:
+    """The per-file diffs of two {path: text} maps, in path order."""
+    return "".join(make_file_diff(path, before.get(path, ""), after.get(path, ""))
+                   for path in sorted(set(before) | set(after)))
 
 
 def test_identical_texts_make_empty_diff():
