@@ -167,40 +167,43 @@ def bench_run(
     seeds: list[int],
     overrides: dict | None = None,
 ) -> list[dict]:
-    """Run (bug, mode) pairs across seeds; one result row per run.  Each
-    bug is loaded once, so all its runs share one project and its analysis.
-    A bug whose suite has no failing test raises NoFailingTests, with the
-    bug's name in the message."""
+    """Run (bug, mode) pairs across seeds; one result row per run.  The
+    whole plan is checked before the first session: each bug is loaded
+    once, so all its runs share one project and its analysis, and each
+    run's configuration is built.  A bug whose suite has no failing test
+    raises NoFailingTests, with the bug's name in the message."""
+    bugs = dict.fromkeys(bug for bug, _ in pairs)
+    loaded = {bug: load_project_dir(Path(corpus_dir) / bug) for bug in bugs}
+    runs = [
+        (bug, mode, seed, configure(preset(mode), {"seed": seed},
+                                    {"step_budget": loaded[bug][2].get("step_budget")},
+                                    overrides or {}))
+        for bug, mode in pairs for seed in seeds
+    ]
     rows = []
-    loaded: dict[str, tuple[SourceProject, list[TestCase], dict]] = {}
-    for bug_name, mode in pairs:
-        if bug_name not in loaded:
-            loaded[bug_name] = load_project_dir(Path(corpus_dir) / bug_name)
-        project, suite, meta = loaded[bug_name]
-        for seed in seeds:
-            config = configure(preset(mode), {"seed": seed},
-                               {"step_budget": meta.get("step_budget")}, overrides or {})
-            try:
-                outcome = navigate(project, suite, config)
-            except NoFailingTests as exc:
-                raise NoFailingTests(f"{bug_name}: {exc}") from None
-            stats = outcome.stats
-            rows.append(
-                {
-                    "bug": bug_name,
-                    "mode": mode,
-                    "seed": seed,
-                    "repaired": "yes" if outcome.patches else "no",
-                    "first_patch_iteration": stats.iteration_at_first_patch
-                    if stats.iteration_at_first_patch is not None
-                    else "",
-                    "validations_to_first_patch": stats.validations_at_first_patch
-                    if stats.validations_at_first_patch is not None
-                    else "",
-                    "validations": stats.validated,
-                    "time_steps": stats.time_steps,
-                }
-            )
+    for bug_name, mode, seed, config in runs:
+        project, suite, _ = loaded[bug_name]
+        try:
+            outcome = navigate(project, suite, config)
+        except NoFailingTests as exc:
+            raise NoFailingTests(f"{bug_name}: {exc}") from None
+        stats = outcome.stats
+        rows.append(
+            {
+                "bug": bug_name,
+                "mode": mode,
+                "seed": seed,
+                "repaired": "yes" if outcome.patches else "no",
+                "first_patch_iteration": stats.iteration_at_first_patch
+                if stats.iteration_at_first_patch is not None
+                else "",
+                "validations_to_first_patch": stats.validations_at_first_patch
+                if stats.validations_at_first_patch is not None
+                else "",
+                "validations": stats.validated,
+                "time_steps": stats.time_steps,
+            }
+        )
     return rows
 
 
@@ -253,10 +256,25 @@ def _items(option: str, value: str, read=str) -> list:
     return items
 
 
+def _bugs(corpus: Path, value: str | None) -> list[str]:
+    """The bugs of the `--bugs` list `value`, else every bug of the corpus;
+    each item must be a name that `discover_bugs` gives, not another path
+    to a bug, which would write its rows under a second name."""
+    names = discover_bugs(corpus)
+    if value is None:
+        return names
+    bugs = _items("--bugs", value)
+    for bug in bugs:
+        if bug not in names:
+            _directory(corpus / bug)  # a missing path gets the error a project gets
+            raise InputError(f"--bugs item {bug!r} is not a bug of {corpus}")
+    return bugs
+
+
 def cmd_bench(args) -> int:
     corpus = _directory(args.corpus_dir)
     modes = _items("--modes", args.modes)
-    bugs = discover_bugs(corpus) if args.bugs is None else _items("--bugs", args.bugs)
+    bugs = _bugs(corpus, args.bugs)
     seeds = _items("--seeds", args.seeds, int)
     rows = bench_run(corpus, [(bug, mode) for bug in bugs for mode in modes], seeds, _flags(args))
     out_dir = Path(args.out)

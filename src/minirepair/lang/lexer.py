@@ -1,10 +1,11 @@
-"""Hand-rolled lexer for MiniLang source text."""
+"""Lexer for MiniLang source text: one master pattern, scanned once."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
-from minirepair.lang.ast import SCALAR_TYPES, MiniSyntaxError
+from minirepair.lang.ast import BINARY_PRECEDENCE, SCALAR_TYPES, MiniSyntaxError
 
 KEYWORDS = frozenset(
     {"fn", "let", "if", "else", "while", "return", "true", "false", *SCALAR_TYPES}
@@ -13,12 +14,35 @@ KEYWORDS = frozenset(
 # the character after a backslash in a string literal -> the one it stands for
 ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 
-_TWO_CHAR = ("->", "&&", "||", "==", "!=", "<=", ">=")
-_ONE_CHAR = "+-*/%<>!=(){}[],;:"
+# every operator and punctuation token, longest first so `<=` wins over `<`
+OPERATORS = sorted([*BINARY_PRECEDENCE, "->", "!", "=", *"(){}[],;:"], key=len, reverse=True)
+
+_ESCAPED = re.escape("".join(ESCAPES))
+# one character of a string literal, or one good escape
+_CHAR = rf'(?:[^"\\\n]|\\[{_ESCAPED}])'
+
+# Whitespace and comments are unnamed, so a match of either has no
+# `lastgroup` and is skipped.  The last three groups catch what no token
+# matches: a literal with a bad escape (its first one: `_CHAR` never takes a
+# backslash that a good escape does not follow), any other unclosed literal,
+# and any other character.
+_TOKEN = re.compile("|".join([
+    r"[ \t\r\n]+",
+    r"//[^\n]*",
+    r"(?P<float>[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))",
+    r"(?P<int>[0-9]+)",
+    r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)",
+    rf'(?P<string>"{_CHAR}*")',
+    "(?P<op>%s)" % "|".join(map(re.escape, OPERATORS)),
+    rf'(?P<escape>"{_CHAR}*\\[^{_ESCAPED}])',
+    r'(?P<unterminated>")',
+    r"(?P<char>.)",
+]))
+
+_ESCAPE = re.compile(r"\\(.)")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | keyword | int | float | string | op | eof
     text: str
     line: int
@@ -26,93 +50,23 @@ class Token:
 
 def tokenize(path: str, source: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
     line = 1
-    n = len(source)
-
-    def error(msg: str):
-        raise MiniSyntaxError(path, line, msg)
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            is_float = False
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
-                is_float = True
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    is_float = True
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            text = source[i:j]
-            tokens.append(Token("float" if is_float else "int", text, line))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = "keyword" if text in KEYWORDS else "ident"
+    for match in _TOKEN.finditer(source):
+        kind, text = match.lastgroup, match.group()
+        if kind is None:
+            line += text.count("\n")
+        elif kind == "ident":
+            tokens.append(Token("keyword" if text in KEYWORDS else "ident", text, line))
+        elif kind == "string":
+            text = _ESCAPE.sub(lambda m: ESCAPES[m[1]], text[1:-1])
             tokens.append(Token(kind, text, line))
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            chars: list[str] = []
-            while True:
-                if j >= n or source[j] == "\n":
-                    error("unterminated string literal")
-                c = source[j]
-                if c == '"':
-                    j += 1
-                    break
-                if c == "\\":
-                    if j + 1 >= n:
-                        error("unterminated string literal")
-                    esc = source[j + 1]
-                    mapped = ESCAPES.get(esc)
-                    if mapped is None:
-                        error(f"unknown escape sequence \\{esc}")
-                    chars.append(mapped)
-                    j += 2
-                    continue
-                chars.append(c)
-                j += 1
-            tokens.append(Token("string", "".join(chars), line))
-            i = j
-            continue
-        two = source[i : i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(Token("op", two, line))
-            i += 2
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(Token("op", ch, line))
-            i += 1
-            continue
-        error(f"unexpected character {ch!r}")
-
+        elif kind == "escape":
+            raise MiniSyntaxError(path, line, f"unknown escape sequence \\{text[-1]}")
+        elif kind == "unterminated":
+            raise MiniSyntaxError(path, line, "unterminated string literal")
+        elif kind == "char":
+            raise MiniSyntaxError(path, line, f"unexpected character {text!r}")
+        else:
+            tokens.append(Token(kind, text, line))
     tokens.append(Token("eof", "", line))
     return tokens

@@ -51,7 +51,10 @@ class RepairOperator:
         raise NotImplementedError
 
     def mutate(self, project: SourceProject, target: Node, ingredient: Node | None) -> None:
-        """Apply the transformation in place on a cloned project."""
+        """Apply the transformation in place at `target` in the variant
+        `project`.  `apply_edits` has copied `target` and its path from the
+        function root into the variant; every other node is shared with the
+        project the variant derives from and must not be modified."""
         raise NotImplementedError
 
     def __repr__(self) -> str:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import minirepair
-from minirepair import cli
+from minirepair import cli, engine
 from minirepair.cli import (
     BENCH_FIELDS,
     bench_run,
@@ -358,6 +358,58 @@ def test_bench_repeated_item_exits_one(tmp_path, capsys, modes, bugs, message):
     assert err.startswith(f"error: {message}\n")
     assert "Traceback" not in err
     assert not (tmp_path / "bench").exists()
+
+
+# another path to a bug once ran it again and wrote its rows under a
+# second name
+@pytest.mark.parametrize("bugs, item", [
+    ("abs-sign,abs-sign/", "abs-sign/"),
+    ("abs-sign,./abs-sign", "./abs-sign"),
+    ("abs-sign/src", "abs-sign/src"),
+], ids=["trailing-slash", "dot-slash", "not-a-bug"])
+def test_bench_bug_that_is_not_a_bug_name_exits_one(tmp_path, capsys, bugs, item):
+    code = run_cli("bench", str(CORPUS), "--modes", "jkali", "--bugs", bugs, "--seeds", "1",
+                   "--out", str(tmp_path / "bench"))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --bugs item {item!r} is not a bug of {CORPUS}\n"
+    assert not (tmp_path / "bench").exists()
+
+
+def _count_sessions(monkeypatch) -> list:
+    """One entry per `RepairSession.run` call."""
+    calls = []
+    run = engine.RepairSession.run
+
+    def counting(self):
+        calls.append(self)
+        return run(self)
+
+    monkeypatch.setattr(engine.RepairSession, "run", counting)
+    return calls
+
+
+# bench once ran every session before a bad bug or mode: 8 sessions before
+# `nosuch`, 2 before `nosuchmode`
+@pytest.mark.parametrize("modes, bugs, message", [
+    ("jkali,jmutrepair", "abs-sign,neg-guard,nosuch", "no such directory"),
+    ("jkali,nosuchmode", "abs-sign,neg-guard", "unknown preset 'nosuchmode'"),
+], ids=["bug", "mode"])
+def test_bench_checks_its_whole_plan_before_the_first_session(
+        tmp_path, capsys, monkeypatch, modes, bugs, message):
+    sessions = _count_sessions(monkeypatch)
+    code = run_cli("bench", str(CORPUS), "--modes", modes, "--bugs", bugs, "--seeds", "1,2",
+                   "--out", str(tmp_path / "bench"))
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert sessions == []
+    assert not (tmp_path / "bench").exists()
+
+
+def test_bench_run_loads_every_bug_before_the_first_session(monkeypatch):
+    sessions = _count_sessions(monkeypatch)
+    with pytest.raises(cli.InputError, match="nosuch: no such directory"):
+        bench_run(CORPUS, [("abs-sign", "jkali"), ("nosuch", "jkali")], [1, 2])
+    assert sessions == []
 
 
 # a repeated seed once ran twice and wrote two equal rows; seeds compare

@@ -2,7 +2,8 @@
 the enumerated config keys with the keys of the extension-point tables and
 what `RunConfig.validate` accepts, the `expect_error` kinds with the kinds
 the interpreter raises, and the grammar's binary operators, escapes, type
-names and keywords with the tables the lexer and parser read."""
+names and keywords with the tables the lexer and parser read, and the
+lexer's operators with the precedence table and the other punctuation."""
 
 import ast
 import re
@@ -14,7 +15,7 @@ from minirepair import engine, faultloc, ingredients, operators
 from minirepair.config import CHOICES, ConfigError, RunConfig
 from minirepair.lang import interp
 from minirepair.lang.ast import BINARY_PRECEDENCE, SCALAR_TYPES
-from minirepair.lang.lexer import ESCAPES, KEYWORDS
+from minirepair.lang.lexer import ESCAPES, KEYWORDS, OPERATORS, tokenize
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -135,3 +136,11 @@ def test_keywords_line_is_the_lexers_keywords():
     text = (DOCS / "minilang.md").read_text(encoding="utf-8")
     words = re.search(r"^Keywords: `([^`]*)`", text, re.M).group(1).split()
     assert len(words) == len(set(words)) and set(words) == KEYWORDS
+
+
+def test_lexer_operators_are_the_precedence_table_and_the_punctuation():
+    assert sorted(OPERATORS) == sorted([*BINARY_PRECEDENCE, "->", "!", "=", *"(){}[],;:"])
+    assert len(OPERATORS) == len(set(OPERATORS))
+    # each operator lexes as one token of its own
+    tokens = tokenize("<ops>", " ".join(OPERATORS))[:-1]
+    assert [(t.kind, t.text) for t in tokens] == [("op", op) for op in OPERATORS]
